@@ -52,6 +52,12 @@
 //!   a second process would, and a fresh store-backed engine serving the
 //!   batch with **zero** rows rebuilt — asserted, along with response
 //!   bit-identity, before timing;
+//! * the frame reader on an ~8 KB inline `Optimize` frame built from the
+//!   PNX stand-in's modules (`protocol/parse_inline_frame`), asserted to
+//!   parse back to the frame it was rendered from;
+//! * a `--cache-dir` `solutions.v1` load of 256 entries
+//!   (`cache/load_solutions`), asserted before timing to merge every
+//!   entry and answer every saved request as an identical `Hit`;
 //! * the socket transport under concurrent load
 //!   (`service/concurrent_connections`): two long-lived Unix-socket
 //!   servers, each timed iteration a fresh wave of 32 distinct
@@ -73,8 +79,9 @@ use soctest_multisite::engine::{Engine, OptimizeRequest, SweepAxis};
 use soctest_multisite::optimizer::{optimize, optimize_with_table};
 use soctest_multisite::problem::OptimizerConfig;
 use soctest_multisite::service::{
-    BoundListener, CacheOutcome, CancelToken, ClientFrame, ClientStream, ListenAddr, OptimizeFrame,
-    Server, ServerConfig, ServerFrame, SessionPointMemo, SocSpec, SolutionCache, TransportConfig,
+    parse_client_frame, BoundListener, CacheOutcome, CancelToken, ClientFrame, ClientStream,
+    ListenAddr, OptimizeFrame, Server, ServerConfig, ServerFrame, SessionPointMemo, SocSpec,
+    SolutionCache, TransportConfig,
 };
 use soctest_multisite::sweep::{
     abort_on_fail_sweep, channel_sweep, contact_yield_sweep, depth_sweep,
@@ -622,6 +629,93 @@ fn main() {
         }
     }));
     let _ = std::fs::remove_file(&rows_path);
+
+    // --- Frame parse: an ~8 KB inline Optimize frame ---------------------
+    // The request frame a client sends for an inline SOC, built from the
+    // PNX stand-in's modules until the line is ~8 KB. The parse is
+    // asserted to give back the frame before timing.
+    let inline_frame = {
+        let mut inline = Soc::new("pnx8550_inline");
+        let mut line = String::new();
+        let mut frame = None;
+        for module in pnx.modules() {
+            if line.len() >= 8 * 1024 {
+                break;
+            }
+            inline.push_module(module.clone());
+            let next = ClientFrame::Optimize(OptimizeFrame {
+                request_id: "inline".to_string(),
+                soc: SocSpec::Inline(write_soc(&inline)),
+                request: OptimizeRequest::new(pnx_config),
+                deadline_ms: None,
+                stats: false,
+            });
+            line = serde_json::to_string(&next).expect("client frames serialise");
+            frame = Some(next);
+        }
+        assert_eq!(
+            parse_client_frame(&line).as_ref(),
+            Ok(frame.as_ref().expect("the PNX stand-in has modules")),
+            "the inline frame did not parse back to itself"
+        );
+        line
+    };
+    measurements.push(measure("protocol/parse_inline_frame", || {
+        parse_client_frame(&inline_frame).expect("the inline frame parses")
+    }));
+
+    // --- solutions.v1 load: a full 256-entry cache file ------------------
+    // 256 distinct d695 requests (one per channel count) fill a cache to
+    // its default entry cap, which is saved as `--cache-dir` would. Before
+    // timing, a reload is asserted to merge every entry and to answer
+    // every request as a Hit identical to the computed response.
+    let solutions_path =
+        std::env::temp_dir().join(format!("soctest-perf-solutions-{}.v1", std::process::id()));
+    let solution_requests: Vec<OptimizeRequest> = (0..256)
+        .map(|i| {
+            let mut config = d695_config;
+            config.test_cell.ate = config.test_cell.ate.with_channels(128 + 2 * i);
+            OptimizeRequest::new(config)
+        })
+        .collect();
+    {
+        let engine = Engine::new(&d695_soc);
+        let token = CancelToken::new();
+        let full = SolutionCache::new(256, 64 * 1024 * 1024);
+        let computed: Vec<_> = solution_requests
+            .iter()
+            .map(|request| {
+                full.run_coalesced(0, request, &token, || engine.run(request))
+                    .expect("every d695 channel count is feasible")
+                    .1
+            })
+            .collect();
+        full.save(&solutions_path).expect("save the solution cache");
+        let reloaded = SolutionCache::new(256, 64 * 1024 * 1024);
+        assert_eq!(
+            reloaded
+                .load(&solutions_path)
+                .expect("load the solution cache"),
+            256,
+            "the reload must merge every saved entry"
+        );
+        for (request, response) in solution_requests.iter().zip(&computed) {
+            let (outcome, served) = reloaded
+                .run_coalesced(0, request, &token, || {
+                    panic!("a reloaded cache must not recompute")
+                })
+                .expect("a reloaded entry cannot fail");
+            assert_eq!(outcome, CacheOutcome::Hit);
+            assert_eq!(&served, response, "a reloaded response diverged");
+        }
+    }
+    measurements.push(measure("cache/load_solutions", || {
+        let cache = SolutionCache::new(256, 64 * 1024 * 1024);
+        cache
+            .load(&solutions_path)
+            .expect("load the solution cache")
+    }));
+    let _ = std::fs::remove_file(&solutions_path);
 
     // --- Socket transport: four concurrent connections vs one -------------
     // Two long-lived servers on real Unix sockets (started once, outside

@@ -139,6 +139,28 @@ fn mid_stream_panic_leaves_siblings_bit_identical() {
 }
 
 #[test]
+fn deeply_nested_line_is_a_protocol_error_and_the_stream_goes_on() {
+    // One line of 200,000 `[` used to overflow the reader's stack and
+    // abort the process. It must cost only a typed error for that line.
+    let input = format!("{}\n{}\n", "[".repeat(200_000), d695_line("r1"));
+    let frames = parse_transcript(&run_server(&[], &input));
+    assert_eq!(frames.len(), 3);
+    match &frames[0] {
+        ServerFrame::Error(error) => {
+            assert_eq!(error.request_id, None);
+            assert_eq!(error.kind, ErrorKind::Protocol);
+            assert!(error.message.contains("nesting"), "{}", error.message);
+        }
+        other => panic!("expected a Protocol error, got {other:?}"),
+    }
+    assert!(matches!(&frames[1], ServerFrame::Result(r) if r.request_id == "r1"));
+    match &frames[2] {
+        ServerFrame::Bye(stats) => assert_eq!((stats.served, stats.errors), (1, 1)),
+        other => panic!("expected Bye, got {other:?}"),
+    }
+}
+
+#[test]
 fn cancel_race_answers_cancelled_without_disturbing_siblings() {
     // r1 is held for 400 ms by the injected delay; the Cancel lands while
     // it sleeps. r2 must still answer normally.

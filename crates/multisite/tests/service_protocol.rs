@@ -1,7 +1,10 @@
 //! Property tests of the `soc-serve` NDJSON wire protocol: random typed
 //! frames survive a JSON round trip bit-exactly, and mangled frames —
 //! unknown fields, injected duplicates, truncation at any byte — are
-//! rejected rather than silently reinterpreted.
+//! rejected rather than silently reinterpreted. Arbitrary bytes, chars
+//! and edits of real frames never panic the frame reader, and whatever it
+//! accepts renders back to the same frame; arbitrary Unicode strings
+//! round-trip exactly.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -11,6 +14,58 @@ use soctest_multisite::service::{
     ErrorKind, OptimizeFrame, ServerFrame, ServerStats, SocSpec, TraceSummary,
 };
 use soctest_multisite::{OptimizeRequest, OptimizerConfig, SweepAxis};
+use soctest_soc_model::synthetic::pnx8550_like;
+use soctest_soc_model::writer::write_soc;
+
+/// Maps a generated `(class, offset)` pair to a `char`, spreading draws
+/// over the character classes a JSON reader and writer treat differently:
+/// control characters, the escaped ASCII characters, JSON punctuation,
+/// printable ASCII and two-, three- and four-byte UTF-8.
+fn pick_char(class: u8, offset: u32) -> char {
+    const ESCAPED: &[char] = &['"', '\\', '/', '\u{7f}', '\n', '\r', '\t'];
+    const PUNCTUATION: &[u8] = b"{}[]:,\"\\ .-+eE0123456789truefalsn";
+    let code = match class % 7 {
+        0 => offset % 0x20,
+        1 => return ESCAPED[offset as usize % ESCAPED.len()],
+        2 => return char::from(PUNCTUATION[offset as usize % PUNCTUATION.len()]),
+        3 => 0x20 + offset % 0x5f,
+        4 => 0x80 + offset % 0x780,
+        5 => 0x800 + offset % 0xF800,
+        _ => 0x1_0000 + offset % 0x10_0000,
+    };
+    // Surrogate code points are not `char`s; stand in the replacement
+    // character, itself a three-byte sequence.
+    char::from_u32(code).unwrap_or(char::REPLACEMENT_CHARACTER)
+}
+
+fn arb_text(max_len: usize) -> impl Strategy<Value = Vec<(u8, u32)>> {
+    vec((0u8..7, 0u32..0x10_0000), 0..max_len)
+}
+
+fn text_of(draws: &[(u8, u32)]) -> String {
+    draws
+        .iter()
+        .map(|&(class, offset)| pick_char(class, offset))
+        .collect()
+}
+
+/// Checks the frame reader's contract on one input line: it answers
+/// `Ok` or `Err` without panicking, and an accepted frame renders back
+/// to a line that parses to the same frame.
+fn check_reader_contract(line: &str) -> Result<(), TestCaseError> {
+    if let Ok(frame) = parse_client_frame(line) {
+        let rendered = serde_json::to_string(&frame).map_err(|err| {
+            TestCaseError::fail(format!("accepted {line:?} but cannot render it: {err}"))
+        })?;
+        let back = parse_client_frame(&rendered).map_err(|err| {
+            TestCaseError::fail(format!(
+                "accepted {line:?} but rejected its rendering: {err}"
+            ))
+        })?;
+        prop_assert_eq!(back, frame);
+    }
+    Ok(())
+}
 
 prop_compose! {
     fn arb_id()(bytes in vec(97u8..=122u8, 1..12)) -> String {
@@ -228,4 +283,79 @@ proptest! {
         );
         prop_assert!(parse_client_frame(&line).is_err(), "accepted duplicate field: {line}");
     }
+}
+
+proptest! {
+    // The fuzz properties are cheap per case, so they run many more.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn arbitrary_chars_never_panic_the_reader(draws in arb_text(96)) {
+        check_reader_contract(&text_of(&draws))?;
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_reader(bytes in vec(0u8..=255, 0..96)) {
+        check_reader_contract(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    #[test]
+    fn edited_frames_never_panic_the_reader(
+        frame in arb_client_frame(),
+        edits in vec((0u32..1000, 0u8..3, 0u8..7, 0u32..0x10_0000), 1..4),
+    ) {
+        // Delete, replace or insert a few chars of a real frame, so that
+        // most edits stay close enough to the grammar to reach the typed
+        // layer, and some still parse.
+        let mut chars: Vec<char> = serde_json::to_string(&frame)
+            .expect("client frames serialise")
+            .chars()
+            .collect();
+        for &(at_permille, op, class, offset) in &edits {
+            let at = chars.len() * at_permille as usize / 1000;
+            let c = pick_char(class, offset);
+            match op {
+                0 if at < chars.len() => {
+                    chars.remove(at);
+                }
+                1 if at < chars.len() => chars[at] = c,
+                _ => chars.insert(at, c),
+            }
+        }
+        check_reader_contract(&chars.into_iter().collect::<String>())?;
+    }
+
+    #[test]
+    fn unicode_strings_round_trip_exactly(draws in arb_text(128)) {
+        let text = text_of(&draws);
+        let line = serde_json::to_string(&text).expect("strings serialise");
+        prop_assert!(!line.contains('\n'), "a string must render on one line: {line:?}");
+        let back: String = serde_json::from_str(&line)
+            .map_err(|err| TestCaseError::fail(format!("rejected own string {line:?}: {err}")))?;
+        prop_assert_eq!(back, text);
+    }
+}
+
+#[test]
+fn a_multi_megabyte_inline_frame_parses() {
+    // The frame reader is linear in the frame length: a reader that
+    // re-scanned the rest of the line per string byte would take hours
+    // here. No timing is asserted; finishing is the test.
+    let module_text = write_soc(&pnx8550_like());
+    let mut inline = String::new();
+    while inline.len() < 4 << 20 {
+        inline.push_str(&module_text);
+    }
+    let frame = ClientFrame::Optimize(OptimizeFrame {
+        request_id: "large".to_string(),
+        soc: SocSpec::Inline(inline),
+        request: OptimizeRequest::new(OptimizerConfig::new(TestCell::new(
+            AteSpec::new(256, 96 * 1024, 5.0e6),
+            ProbeStation::paper_probe_station(),
+        ))),
+        deadline_ms: None,
+        stats: false,
+    });
+    let line = serde_json::to_string(&frame).expect("client frames serialise");
+    assert_eq!(parse_client_frame(&line), Ok(frame));
 }
