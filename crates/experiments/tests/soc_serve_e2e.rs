@@ -8,7 +8,9 @@
 
 use soctest_ate::{AteSpec, ProbeStation, TestCell};
 use soctest_experiments::serve::sample_session;
-use soctest_multisite::service::{ClientFrame, ErrorKind, OptimizeFrame, ServerFrame, SocSpec};
+use soctest_multisite::service::{
+    ClientFrame, ErrorKind, OptimizeFrame, ServerFrame, SocSpec, MAX_FRAME_BYTES,
+};
 use soctest_multisite::{OptimizeRequest, OptimizerConfig};
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -18,7 +20,7 @@ const SAMPLE_TRANSCRIPT: &str = include_str!("../data/sample_session_transcript.
 
 /// Runs the server binary with `args`, feeds `input` on stdin, returns
 /// the full stdout transcript.
-fn run_server(args: &[&str], input: &str) -> String {
+fn run_server(args: &[&str], input: impl AsRef<[u8]>) -> String {
     let mut child = Command::new(env!("CARGO_BIN_EXE_soc-serve"))
         .args(args)
         .stdin(Stdio::piped())
@@ -30,7 +32,7 @@ fn run_server(args: &[&str], input: &str) -> String {
         .stdin
         .take()
         .expect("piped stdin")
-        .write_all(input.as_bytes())
+        .write_all(input.as_ref())
         .expect("write session input");
     let output = child.wait_with_output().expect("soc-serve exits");
     assert!(output.status.success(), "soc-serve failed");
@@ -158,6 +160,45 @@ fn deeply_nested_line_is_a_protocol_error_and_the_stream_goes_on() {
         ServerFrame::Bye(stats) => assert_eq!((stats.served, stats.errors), (1, 1)),
         other => panic!("expected Bye, got {other:?}"),
     }
+}
+
+/// Feeds `bad` as one line before a valid `r1` frame: the bad line must
+/// answer exactly one stream-level `Protocol` error naming `why`, and
+/// `r1` must still be served.
+fn assert_bad_line_is_skipped(bad: &[u8], why: &str) {
+    let mut input = bad.to_vec();
+    input.push(b'\n');
+    input.extend_from_slice(format!("{}\n", d695_line("r1")).as_bytes());
+    let frames = parse_transcript(&run_server(&[], &input));
+    assert_eq!(frames.len(), 3);
+    match &frames[0] {
+        ServerFrame::Error(error) => {
+            assert_eq!(error.request_id, None);
+            assert_eq!(error.kind, ErrorKind::Protocol);
+            assert!(error.message.contains(why), "{}", error.message);
+        }
+        other => panic!("expected a Protocol error, got {other:?}"),
+    }
+    assert!(matches!(&frames[1], ServerFrame::Result(r) if r.request_id == "r1"));
+    match &frames[2] {
+        ServerFrame::Bye(stats) => assert_eq!((stats.served, stats.errors), (1, 1)),
+        other => panic!("expected Bye, got {other:?}"),
+    }
+}
+
+#[test]
+fn invalid_utf8_line_is_a_protocol_error_and_the_stream_goes_on() {
+    // A non-UTF-8 line used to end the session as if it were EOF,
+    // silently dropping every later frame.
+    assert_bad_line_is_skipped(b"\xff", "UTF-8");
+}
+
+#[test]
+fn over_long_line_is_a_protocol_error_and_the_stream_goes_on() {
+    // A valid frame padded with whitespace past the cap: the reader must
+    // refuse it rather than buffer it, then serve the next frame.
+    let padded = format!("{}{}", d695_line("r0"), " ".repeat(MAX_FRAME_BYTES));
+    assert_bad_line_is_skipped(padded.as_bytes(), "longer than");
 }
 
 #[test]

@@ -10,7 +10,8 @@
 //! on every hash match, so a collision costs a string compare, never a
 //! wrong response.
 //!
-//! The cache also *coalesces* identical in-flight work: while one
+//! The cache also *coalesces* identical in-flight work through the
+//! service's one leader/waiter flight (`service::flight`): while one
 //! request (the leader) is computing a key, later identical requests
 //! (waiters) block on the leader's result instead of recomputing it.
 //! Waiters poll their own [`CancelToken`] while they wait, so
@@ -26,8 +27,9 @@
 //! without recomputation. Wall-clock-dependent failures (cancellation,
 //! deadline expiry, shed load, panics) are never cached. Entries of both
 //! polarities are evicted least-recently-used when the cache exceeds
-//! its entry-count or byte cap, always sparing the hottest entry
-//! (mirroring the session registry's policy).
+//! its entry-count or byte cap, always sparing the hottest entry — the
+//! policy of the service's one [`Lru`], which the session registry
+//! shares.
 //!
 //! # Point-level reuse
 //!
@@ -63,23 +65,19 @@
 use crate::engine::{OptimizeRequest, OptimizeResponse, PointMemo};
 use crate::error::OptimizeError;
 use crate::service::cancel::CancelToken;
-use crate::service::registry::fnv1a64;
+use crate::service::flight::Flight;
+use crate::service::lru::Lru;
+use crate::service::ContentKey;
 use soctest_tam::{open_envelope, push_u64, seal_envelope, write_atomic, Cursor, StoreError};
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::sync::Arc;
 
 /// File magic (7 bytes) of the persisted solution cache, followed by the
 /// one-byte format version — `solutions.v1` in the cache directory.
 const SOLUTIONS_MAGIC: &[u8; 7] = b"SOCSOLS";
 /// Current `solutions.v1` format version byte.
 const SOLUTIONS_VERSION: u8 = b'1';
-
-/// How long a waiter sleeps between checks of its own [`CancelToken`]
-/// while blocked on a leader. Purely a cancellation-latency bound: the
-/// leader's guard notifies the condvar the moment the result lands.
-const WAIT_SLICE: Duration = Duration::from_millis(25);
 
 /// Renders a parsed request back to its canonical JSON string — the
 /// content-addressed identity used by [`SolutionCache`]. Parsing
@@ -177,60 +175,32 @@ fn negative_cacheable(error: &OptimizeError) -> bool {
     )
 }
 
-/// One resident solution.
-#[derive(Debug)]
-struct CacheEntry {
-    /// FNV-1a of `canonical` (the lookup fast path).
-    hash: u64,
-    /// The owning session's SOC content hash.
+/// A resident solution's identity: the owning session's SOC content
+/// hash plus the canonical request.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct SolutionKey {
     soc: u64,
-    /// The canonical request text (the collision-proof identity).
-    canonical: String,
-    /// The cached response (successful or negative).
-    response: CachedResponse,
-    /// Charged size: canonical key plus rendered response.
-    bytes: u64,
+    request: ContentKey,
 }
 
-impl CacheEntry {
-    fn matches(&self, soc: u64, hash: u64, canonical: &str) -> bool {
-        self.soc == soc && self.hash == hash && self.canonical == canonical
+impl SolutionKey {
+    fn new(soc: u64, canonical: String) -> Self {
+        SolutionKey {
+            soc,
+            request: ContentKey::new(canonical),
+        }
     }
-}
-
-/// Looks `(soc, hash, canonical)` up in one LRU index; a match is
-/// touched hottest and its response cloned out.
-fn probe_index(
-    list: &mut Vec<CacheEntry>,
-    soc: u64,
-    hash: u64,
-    canonical: &str,
-) -> Option<CachedResponse> {
-    let position = list
-        .iter()
-        .position(|entry| entry.matches(soc, hash, canonical))?;
-    let entry = list.remove(position);
-    let served = entry.response.clone();
-    list.push(entry);
-    Some(served)
 }
 
 #[derive(Debug, Default)]
 struct CacheInner {
-    /// Whole-request entries in LRU order: index 0 is the coldest.
-    entries: Vec<CacheEntry>,
-    /// Sweep-point entries in LRU order (successes only) — same key
-    /// namespace as `entries`, kept apart so whole-request accounting
-    /// (the wire `result_bytes`) is undisturbed by sweep traffic.
-    points: Vec<CacheEntry>,
-    /// Keys currently being computed by a leader.
-    inflight: Vec<(u64, u64, String)>,
-    /// Running byte total of `entries` — kept exact on every insert and
-    /// eviction so neither the eviction loop nor `stats()` re-sums the
-    /// whole list.
-    resident_bytes: u64,
-    /// Running byte total of `points`.
-    point_bytes: u64,
+    /// Whole-request entries, charged their canonical key plus rendered
+    /// response.
+    entries: Lru<SolutionKey, CachedResponse>,
+    /// Sweep-point entries (successes only) — same key namespace as
+    /// `entries`, kept apart so whole-request accounting (the wire
+    /// `result_bytes`) is undisturbed by sweep traffic.
+    points: Lru<SolutionKey, OptimizeResponse>,
     stats: SolutionCacheStats,
 }
 
@@ -239,10 +209,8 @@ struct CacheInner {
 /// [module docs](self).
 #[derive(Debug)]
 pub struct SolutionCache {
-    inner: Mutex<CacheInner>,
-    /// Signalled whenever a leader finishes (result landed or leader
-    /// gave up) so waiters re-check.
-    ready: Condvar,
+    /// Both indexes and the counters, under the leader/waiter flight.
+    flight: Flight<SolutionKey, CacheInner>,
     max_entries: usize,
     max_bytes: u64,
 }
@@ -254,8 +222,7 @@ impl SolutionCache {
     /// oversized response may exist alone.
     pub fn new(max_entries: usize, max_bytes: u64) -> Self {
         SolutionCache {
-            inner: Mutex::new(CacheInner::default()),
-            ready: Condvar::new(),
+            flight: Flight::new(CacheInner::default()),
             max_entries: max_entries.max(1),
             max_bytes,
         }
@@ -287,42 +254,30 @@ impl SolutionCache {
     where
         F: FnOnce() -> Result<OptimizeResponse, OptimizeError>,
     {
-        let canonical = canonical_request(request);
-        let hash = fnv1a64(&canonical);
-        let mut compute = Some(compute);
+        let key = SolutionKey::new(soc, canonical_request(request));
         let mut waited = false;
-        let mut inner = self.lock();
+        let mut guard = self.flight.lock();
         loop {
-            // Touch: a match moves to the hot end.
-            if let Some(served) = probe_index(&mut inner.entries, soc, hash, &canonical) {
-                return match served {
-                    CachedResponse::Success(response) => {
-                        // The leader-computed vs waiter-coalesced split:
-                        // a direct hit and a waiter waking to find its
-                        // leader's entry are counted apart.
-                        let outcome = if waited {
-                            inner.stats.coalesced_served += 1;
-                            CacheOutcome::Coalesced
-                        } else {
-                            inner.stats.hits += 1;
-                            CacheOutcome::Hit
-                        };
-                        Ok((outcome, response))
-                    }
-                    CachedResponse::Negative(error) => {
-                        inner.stats.negative_hits += 1;
-                        Err(error)
-                    }
-                };
-            }
-
-            // No whole-request entry — but a sweep may have computed this
-            // exact configuration as one of its points. Point entries
-            // hold only successes, so a match is a full, free answer.
-            if let Some(CachedResponse::Success(response)) =
-                probe_index(&mut inner.points, soc, hash, &canonical)
-            {
-                inner.stats.point_hits += 1;
+            let inner = &mut *guard;
+            // A whole-request entry, else a sweep's point entry for this
+            // exact configuration (point entries hold only successes, so
+            // a match is a full, free answer). A match is touched hottest.
+            let served = match inner.entries.get(&key) {
+                Some(CachedResponse::Negative(error)) => {
+                    inner.stats.negative_hits += 1;
+                    return Err(error.clone());
+                }
+                Some(CachedResponse::Success(response)) => Some(response.clone()),
+                None => {
+                    let point = inner.points.get(&key).cloned();
+                    inner.stats.point_hits += u64::from(point.is_some());
+                    point
+                }
+            };
+            if let Some(response) = served {
+                // The leader-computed vs waiter-coalesced split: a direct
+                // hit and a waiter waking to find its leader's entry are
+                // counted apart.
                 let outcome = if waited {
                     inner.stats.coalesced_served += 1;
                     CacheOutcome::Coalesced
@@ -333,65 +288,41 @@ impl SolutionCache {
                 return Ok((outcome, response));
             }
 
-            let in_flight = inner
-                .inflight
-                .iter()
-                .any(|(s, h, c)| *s == soc && *h == hash && *c == canonical);
-            if in_flight {
+            if guard.in_flight(&key) {
                 if !waited {
                     waited = true;
-                    inner.stats.coalesced_waits += 1;
+                    guard.stats.coalesced_waits += 1;
                 }
-                // Sleep until the leader's guard notifies (or the
-                // slice elapses), then poll our own token: a cancelled
-                // waiter gives up without touching the leader.
-                inner = self
-                    .ready
-                    .wait_timeout(inner, WAIT_SLICE)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
+                // Sleep until the leader's guard notifies (or the slice
+                // elapses), then poll our own token: a cancelled waiter
+                // gives up without touching the leader.
+                guard = self.flight.wait(guard);
                 token.check()?;
                 continue;
             }
 
-            // No entry, no leader: lead. `compute` is consumed here, and
-            // the leader path always returns, so a caller leads at most
-            // once — a waiter whose leader failed retries into this arm.
-            inner.stats.misses += 1;
-            inner.inflight.push((soc, hash, canonical.clone()));
-            drop(inner);
-            let guard = FlightGuard {
-                cache: self,
-                soc,
-                hash,
-                canonical: &canonical,
-            };
-            let result = (compute.take().expect("leader leads at most once"))();
+            // No entry, no leader: lead. The leader path always returns,
+            // so a caller leads at most once — a waiter whose leader
+            // failed retries into this arm. The lead guard removes the
+            // in-flight marker and wakes waiters after the insert, and
+            // also on unwind if `compute` panics, so waiters never hang.
+            guard.stats.misses += 1;
+            let _lead = self.flight.lead(guard, key.clone());
+            let result = compute();
             match &result {
-                Ok(response) => self.insert(
-                    soc,
-                    hash,
-                    &canonical,
-                    CachedResponse::Success(response.clone()),
-                ),
-                Err(error) if negative_cacheable(error) => self.insert(
-                    soc,
-                    hash,
-                    &canonical,
-                    CachedResponse::Negative(error.clone()),
-                ),
+                Ok(response) => self.insert(key, CachedResponse::Success(response.clone())),
+                Err(error) if negative_cacheable(error) => {
+                    self.insert(key, CachedResponse::Negative(error.clone()));
+                }
                 Err(_) => {}
             }
-            // Remove the in-flight marker and wake waiters — also runs
-            // on unwind if `compute` panicked, so waiters never hang.
-            drop(guard);
             return result.map(|response| (CacheOutcome::Computed, response));
         }
     }
 
     /// Admits a successful response or a deterministic failure, touching
     /// it hottest and applying the caps.
-    fn insert(&self, soc: u64, hash: u64, canonical: &str, response: CachedResponse) {
+    fn insert(&self, key: SolutionKey, response: CachedResponse) {
         let rendered = match &response {
             CachedResponse::Success(response) => {
                 serde_json::to_string(response).expect("responses serialise")
@@ -399,65 +330,18 @@ impl SolutionCache {
             CachedResponse::Negative(error) => error.to_string(),
         };
         let negative = matches!(response, CachedResponse::Negative(_));
-        let bytes = (canonical.len() + rendered.len()) as u64;
-        let mut inner = self.lock();
+        let bytes = (key.request.canonical.len() + rendered.len()) as u64;
+        let mut guard = self.flight.lock();
+        let inner = &mut *guard;
         // A resident duplicate is impossible while our in-flight marker
-        // blocks other leaders, but stay defensive: replace, don't stack.
-        if let Some(position) = inner
-            .entries
-            .iter()
-            .position(|entry| entry.matches(soc, hash, canonical))
-        {
-            let replaced = inner.entries.remove(position);
-            inner.resident_bytes -= replaced.bytes;
-        }
-        inner.entries.push(CacheEntry {
-            hash,
-            soc,
-            canonical: canonical.to_string(),
-            response,
-            bytes,
-        });
-        inner.resident_bytes += bytes;
+        // blocks other leaders; the insert would replace it anyway.
+        inner.entries.insert(key, response, bytes);
         if negative {
             inner.stats.negative_insertions += 1;
         } else {
             inner.stats.insertions += 1;
         }
-        self.evict_entries_over_caps(&mut inner);
-    }
-
-    /// Evicts whole-request entries coldest-first while over either cap,
-    /// always sparing the hottest. The running byte counter makes each
-    /// iteration O(1) instead of re-summing the resident list.
-    fn evict_entries_over_caps(&self, inner: &mut CacheInner) {
-        while (inner.entries.len() > self.max_entries || inner.resident_bytes > self.max_bytes)
-            && inner.entries.len() > 1
-        {
-            let evicted = inner.entries.remove(0);
-            inner.resident_bytes -= evicted.bytes;
-            inner.stats.evictions += 1;
-        }
-        debug_assert_eq!(
-            inner.resident_bytes,
-            inner.entries.iter().map(|entry| entry.bytes).sum::<u64>()
-        );
-    }
-
-    /// The point-index twin of [`SolutionCache::evict_entries_over_caps`],
-    /// under the same caps.
-    fn evict_points_over_caps(&self, inner: &mut CacheInner) {
-        while (inner.points.len() > self.max_entries || inner.point_bytes > self.max_bytes)
-            && inner.points.len() > 1
-        {
-            let evicted = inner.points.remove(0);
-            inner.point_bytes -= evicted.bytes;
-            inner.stats.evictions += 1;
-        }
-        debug_assert_eq!(
-            inner.point_bytes,
-            inner.points.iter().map(|entry| entry.bytes).sum::<u64>()
-        );
+        inner.stats.evictions += inner.entries.evict_over(self.max_entries, self.max_bytes);
     }
 
     /// The memoised success for `request` under session `soc`, from
@@ -468,19 +352,16 @@ impl SolutionCache {
     /// resident *negative* entry answers `None`: the point recomputes
     /// and fails exactly as the cached request did.
     fn get_point(&self, soc: u64, request: &OptimizeRequest) -> Option<OptimizeResponse> {
-        let canonical = canonical_request(request);
-        let hash = fnv1a64(&canonical);
-        let mut guard = self.lock();
+        let key = SolutionKey::new(soc, canonical_request(request));
+        let mut guard = self.flight.lock();
         let inner = &mut *guard;
-        let served = probe_index(&mut inner.entries, soc, hash, &canonical)
-            .or_else(|| probe_index(&mut inner.points, soc, hash, &canonical))?;
-        match served {
-            CachedResponse::Success(response) => {
-                inner.stats.point_hits += 1;
-                Some(response)
-            }
-            CachedResponse::Negative(_) => None,
-        }
+        let response = match inner.entries.get(&key) {
+            Some(CachedResponse::Success(response)) => response.clone(),
+            Some(CachedResponse::Negative(_)) => return None,
+            None => inner.points.get(&key)?.clone(),
+        };
+        inner.stats.point_hits += 1;
+        Some(response)
     }
 
     /// Publishes a sweep point's fresh success to the point index — the
@@ -488,39 +369,27 @@ impl SolutionCache {
     /// already resident in either index is left untouched (racing points
     /// of one sweep carry bit-identical responses anyway).
     fn put_point(&self, soc: u64, request: &OptimizeRequest, response: &OptimizeResponse) {
-        let canonical = canonical_request(request);
-        let hash = fnv1a64(&canonical);
+        let key = SolutionKey::new(soc, canonical_request(request));
         let rendered = serde_json::to_string(response).expect("responses serialise");
-        let bytes = (canonical.len() + rendered.len()) as u64;
-        let mut inner = self.lock();
-        let resident = |list: &[CacheEntry]| {
-            list.iter()
-                .any(|entry| entry.matches(soc, hash, &canonical))
-        };
-        if resident(&inner.entries) || resident(&inner.points) {
+        let bytes = (key.request.canonical.len() + rendered.len()) as u64;
+        let mut guard = self.flight.lock();
+        let inner = &mut *guard;
+        if inner.entries.contains(&key) || inner.points.contains(&key) {
             return;
         }
-        inner.points.push(CacheEntry {
-            hash,
-            soc,
-            canonical,
-            response: CachedResponse::Success(response.clone()),
-            bytes,
-        });
-        inner.point_bytes += bytes;
+        inner.points.insert(key, response.clone(), bytes);
         inner.stats.point_insertions += 1;
-        self.evict_points_over_caps(&mut inner);
+        inner.stats.evictions += inner.points.evict_over(self.max_entries, self.max_bytes);
     }
 
-    /// Current counters (entry/byte gauges read from the running
-    /// accounting, which eviction keeps exact).
+    /// Current counters.
     pub fn stats(&self) -> SolutionCacheStats {
-        let inner = self.lock();
+        let inner = self.flight.lock();
         let mut stats = inner.stats;
         stats.entries = inner.entries.len() as u64;
-        stats.bytes = inner.resident_bytes;
+        stats.bytes = inner.entries.bytes();
         stats.point_entries = inner.points.len() as u64;
-        stats.point_bytes = inner.point_bytes;
+        stats.point_bytes = inner.points.bytes();
         stats
     }
 
@@ -533,25 +402,29 @@ impl SolutionCache {
     ///
     /// Any I/O error writing the file.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        let inner = self.lock();
+        let inner = self.flight.lock();
+        let successes = inner
+            .entries
+            .iter()
+            .filter_map(|(key, response, _)| match response {
+                CachedResponse::Success(response) => Some((key, response)),
+                CachedResponse::Negative(_) => None,
+            })
+            .collect::<Vec<_>>();
+        let points = inner
+            .points
+            .iter()
+            .map(|(key, response, _)| (key, response))
+            .collect::<Vec<_>>();
         let bytes = seal_envelope(SOLUTIONS_MAGIC, SOLUTIONS_VERSION, |out| {
-            for list in [&inner.entries, &inner.points] {
-                let successes: Vec<(&CacheEntry, String)> = list
-                    .iter()
-                    .filter_map(|entry| match &entry.response {
-                        CachedResponse::Success(response) => Some((
-                            entry,
-                            serde_json::to_string(response).expect("responses serialise"),
-                        )),
-                        CachedResponse::Negative(_) => None,
-                    })
-                    .collect();
-                push_u64(out, successes.len() as u64);
-                for (entry, rendered) in successes {
-                    push_u64(out, entry.soc);
-                    push_u64(out, entry.hash);
-                    push_u64(out, entry.canonical.len() as u64);
-                    out.extend_from_slice(entry.canonical.as_bytes());
+            for section in [successes, points] {
+                push_u64(out, section.len() as u64);
+                for (key, response) in section {
+                    let rendered = serde_json::to_string(response).expect("responses serialise");
+                    push_u64(out, key.soc);
+                    push_u64(out, key.request.hash);
+                    push_u64(out, key.request.canonical.len() as u64);
+                    out.extend_from_slice(key.request.canonical.as_bytes());
                     push_u64(out, rendered.len() as u64);
                     out.extend_from_slice(rendered.as_bytes());
                 }
@@ -573,38 +446,27 @@ impl SolutionCache {
     /// version-mismatched files.
     pub fn load(&self, path: &Path) -> Result<u64, StoreError> {
         let bytes = std::fs::read(path)?;
-        let sections = parse_solutions_file(&bytes)?;
-        let mut inner = self.lock();
+        let [entries, points] = parse_solutions_file(&bytes)?;
+        let mut guard = self.flight.lock();
+        let inner = &mut *guard;
         let mut merged = 0u64;
-        for (into_points, parsed) in [(false, &sections[0]), (true, &sections[1])] {
-            for (soc, hash, canonical, response, charge) in parsed {
-                let resident = inner
-                    .entries
-                    .iter()
-                    .chain(inner.points.iter())
-                    .any(|entry| entry.matches(*soc, *hash, canonical));
-                if resident {
+        for (into_points, section) in [(false, entries), (true, points)] {
+            for (key, response, charge) in section {
+                if inner.entries.contains(&key) || inner.points.contains(&key) {
                     continue;
                 }
-                let entry = CacheEntry {
-                    hash: *hash,
-                    soc: *soc,
-                    canonical: canonical.clone(),
-                    response: CachedResponse::Success(response.clone()),
-                    bytes: *charge,
-                };
                 if into_points {
-                    inner.points.push(entry);
-                    inner.point_bytes += charge;
+                    inner.points.insert(key, response, charge);
                 } else {
-                    inner.entries.push(entry);
-                    inner.resident_bytes += charge;
+                    inner
+                        .entries
+                        .insert(key, CachedResponse::Success(response), charge);
                 }
                 merged += 1;
             }
         }
-        self.evict_entries_over_caps(&mut inner);
-        self.evict_points_over_caps(&mut inner);
+        inner.stats.evictions += inner.entries.evict_over(self.max_entries, self.max_bytes)
+            + inner.points.evict_over(self.max_entries, self.max_bytes);
         Ok(merged)
     }
 
@@ -624,46 +486,17 @@ impl SolutionCache {
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.lock().entries.len()
+        self.flight.lock().entries.len()
     }
 
     /// Whether no entry is resident.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    // Leaders mutate the cache only at guarded points (marker push,
-    // insert, marker removal), never mid-structure — recover from
-    // poisoning like the registry does.
-    fn lock(&self) -> MutexGuard<'_, CacheInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
-/// Removes the leader's in-flight marker and wakes every waiter — on
-/// the normal path *and* when the computation unwinds (an injected
-/// fault, an engine bug), so a dying leader never strands its waiters.
-struct FlightGuard<'a> {
-    cache: &'a SolutionCache,
-    soc: u64,
-    hash: u64,
-    canonical: &'a str,
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        let mut inner = self.cache.lock();
-        inner
-            .inflight
-            .retain(|(s, h, c)| !(*s == self.soc && *h == self.hash && c == self.canonical));
-        drop(inner);
-        self.cache.ready.notify_all();
-    }
-}
-
-/// One verified `solutions.v1` entry: `(soc, hash, canonical, response,
-/// charged bytes)`.
-type ParsedSolution = (u64, u64, String, OptimizeResponse, u64);
+/// One verified `solutions.v1` entry: `(key, response, charged bytes)`.
+type ParsedSolution = (SolutionKey, OptimizeResponse, u64);
 
 /// Verifies and parses a whole `solutions.v1` file into its two
 /// sections (whole-request entries, then points), each coldest first.
@@ -696,7 +529,8 @@ fn parse_solutions_file(bytes: &[u8]) -> Result<[Vec<ParsedSolution>; 2], StoreE
             let canonical = std::str::from_utf8(cursor.take(canonical_len)?)
                 .map_err(|_| StoreError::Corrupt("canonical text is not UTF-8".to_string()))?
                 .to_string();
-            if fnv1a64(&canonical) != hash {
+            let key = SolutionKey::new(soc, canonical);
+            if key.request.hash != hash {
                 return Err(StoreError::Corrupt(
                     "entry hash does not match its canonical text".to_string(),
                 ));
@@ -707,8 +541,8 @@ fn parse_solutions_file(bytes: &[u8]) -> Result<[Vec<ParsedSolution>; 2], StoreE
                 .map_err(|_| StoreError::Corrupt("response text is not UTF-8".to_string()))?;
             let response: OptimizeResponse = serde_json::from_str(rendered)
                 .map_err(|err| StoreError::Corrupt(format!("response does not parse: {err}")))?;
-            let charge = (canonical.len() + rendered.len()) as u64;
-            section.push((soc, hash, canonical, response, charge));
+            let charge = (key.request.canonical.len() + rendered.len()) as u64;
+            section.push((key, response, charge));
         }
     }
     if cursor.remaining() != 0 {
@@ -767,6 +601,7 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Barrier};
     use std::thread;
+    use std::time::Duration;
 
     fn request(channels: usize) -> OptimizeRequest {
         let cell = TestCell::new(
@@ -782,14 +617,13 @@ mod tests {
         OptimizeResponse::Curves(Vec::with_capacity(marker))
     }
 
-    /// Re-sums both indexes from scratch; the running `resident_bytes` /
-    /// `point_bytes` counters must always equal this, or the O(1)
-    /// eviction accounting has drifted.
+    /// Re-sums both indexes from scratch; the running byte totals must
+    /// always equal this, or the O(1) eviction accounting has drifted.
     fn resummed(cache: &SolutionCache) -> (u64, u64) {
-        let inner = cache.lock();
+        let inner = cache.flight.lock();
         (
-            inner.entries.iter().map(|entry| entry.bytes).sum::<u64>(),
-            inner.points.iter().map(|entry| entry.bytes).sum::<u64>(),
+            inner.entries.iter().map(|(_, _, bytes)| bytes).sum::<u64>(),
+            inner.points.iter().map(|(_, _, bytes)| bytes).sum::<u64>(),
         )
     }
 
@@ -1088,7 +922,7 @@ mod tests {
         assert!(leader.is_err());
         let (_, got) = waiter.join().unwrap();
         assert_eq!(got, response(0));
-        assert!(cache.lock().inflight.is_empty(), "marker cleaned on unwind");
+        assert!(cache.flight.is_idle(), "marker cleaned on unwind");
     }
 
     #[test]

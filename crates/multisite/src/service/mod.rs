@@ -26,13 +26,18 @@
 //!   one registry, one row store, one solution cache, one bounded
 //!   admission queue drained by a shared executor pool;
 //! * [`faults`] — the env-gated [`FaultPlan`] harness that injects
-//!   panics, delays, and allocation pressure to prove the above.
+//!   panics, delays, and allocation pressure to prove the above;
+//! * `flight` and [`lru`] — the two primitives under the registry and
+//!   the cache: one leader/waiter flight that coalesces identical
+//!   in-flight work, and one byte-accounted least-recently-used map.
 //!
 //! [`Engine`]: crate::engine::Engine
 
 pub mod cache;
 pub mod cancel;
 pub mod faults;
+mod flight;
+pub mod lru;
 pub mod protocol;
 pub mod registry;
 pub mod server;
@@ -49,12 +54,56 @@ pub use protocol::{
     SocSpec, TraceSummary,
 };
 pub use registry::{RegistryStats, SessionHandle, SessionRegistry};
-pub use server::{Server, ServerConfig, ROWS_FILE, SOLUTIONS_FILE};
+pub use server::{Server, ServerConfig, MAX_FRAME_BYTES, ROWS_FILE, SOLUTIONS_FILE};
 pub use transport::{BoundListener, ClientStream, ListenAddr, TransportConfig, TransportStats};
 
 use soctest_soc_model::synthetic::pnx8550_like;
 use soctest_soc_model::writer::write_soc;
 use soctest_soc_model::{benchmarks, Soc};
+use soctest_tam::fnv1a64;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// A canonical text with its precomputed FNV-1a: the identity of a
+/// session's SOC and of a cached request. Hashing writes only the FNV,
+/// so no lookup re-hashes the text; equality compares the full text, so
+/// a hash twin is a different key.
+#[derive(Debug, Clone)]
+pub(crate) struct ContentKey {
+    pub(crate) hash: u64,
+    pub(crate) canonical: Arc<str>,
+}
+
+impl ContentKey {
+    pub(crate) fn new(canonical: String) -> Self {
+        ContentKey {
+            hash: fnv1a64(canonical.as_bytes()),
+            canonical: canonical.into(),
+        }
+    }
+}
+
+impl PartialEq for ContentKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.canonical == other.canonical
+    }
+}
+
+impl Eq for ContentKey {}
+
+impl Hash for ContentKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Locks `mutex`, recovering the data when a panicking thread poisoned
+/// it. Service state is only mutated at points that leave it valid,
+/// never across the optimizer's unwind path, so poisoning records only
+/// that *some* request panicked.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Resolves a [`SocSpec::Named`] SOC: one of the embedded ITC'02
 /// benchmarks (`d695`, `p22810`, `p34392`, `p93791`) or the synthetic
@@ -97,7 +146,7 @@ pub fn named_soc_catalogue() -> Vec<NamedSoc> {
             NamedSoc {
                 name,
                 modules: soc.modules().len(),
-                content_hash: registry::fnv1a64(&write_soc(&soc)),
+                content_hash: fnv1a64(write_soc(&soc).as_bytes()),
             }
         })
         .collect()
@@ -117,7 +166,7 @@ mod tests {
             // The hash is the registry's identity: recomputing from a
             // fresh resolve must agree.
             let again = resolve_named_soc(entry.name).unwrap();
-            assert_eq!(entry.content_hash, registry::fnv1a64(&write_soc(&again)));
+            assert_eq!(entry.content_hash, fnv1a64(write_soc(&again).as_bytes()));
         }
         // Distinct designs, distinct identities.
         let mut hashes: Vec<u64> = catalogue.iter().map(|e| e.content_hash).collect();

@@ -16,57 +16,24 @@
 //! Cold builds are *coalesced*, not serialised: the registry lock is
 //! released for the whole cold build
 //! ([`EngineBuilder::try_build`](crate::engine::EngineBuilder::try_build)),
-//! with a per-key in-flight
-//! marker (the same leader/waiter protocol as
-//! [`crate::service::cache::SolutionCache`]) keeping duplicate builders
-//! of one SOC behind a single leader while distinct SOCs build
-//! concurrently. One slow cold build therefore never blocks a warm hit,
-//! and a failing or panicking leader releases its waiters to retry.
+//! and the service's one leader/waiter flight (`service::flight`) keeps
+//! duplicate builders of one SOC behind a single leader while distinct
+//! SOCs build concurrently. One slow cold build therefore never blocks a
+//! warm hit, and a failing or panicking leader releases its waiters to
+//! retry. Recency and the memory charge live in the service's one
+//! [`Lru`].
 
 use crate::engine::Engine;
 use crate::error::OptimizeError;
 use crate::service::cache::{SessionPointMemo, SolutionCache};
 use crate::service::faults::{FaultPlan, Stage};
+use crate::service::flight::Flight;
+use crate::service::lru::Lru;
+use crate::service::ContentKey;
 use soctest_soc_model::writer::write_soc;
 use soctest_soc_model::Soc;
 use soctest_tam::RowStore;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Duration;
-
-/// How long a waiter sleeps between re-checks of the slots while an
-/// identical cold build is in flight. Purely a latency bound on rare
-/// wake-up races: the leader's guard notifies the condvar the moment
-/// the build lands (or fails).
-const WAIT_SLICE: Duration = Duration::from_millis(25);
-
-/// FNV-1a 64-bit over the canonical SOC text — stable, dependency-free,
-/// and plenty for distinguishing SOC descriptions (collisions would only
-/// merge two sessions, never corrupt results... except they would serve
-/// the wrong SOC, so the registry double-checks the canonical text on
-/// hash hits).
-pub(crate) fn fnv1a64(text: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// One resident session.
-#[derive(Debug)]
-struct SessionSlot {
-    /// FNV-1a of `canonical` (the lookup fast path).
-    hash: u64,
-    /// The canonical `.soc` text (the collision-proof identity), shared
-    /// with every [`SessionHandle`] so the post-run
-    /// [`SessionRegistry::reassess`] can match the full key cheaply.
-    canonical: Arc<str>,
-    /// The warm engine.
-    engine: Arc<Engine>,
-    /// Last-assessed [`Engine::table_memory_bytes`].
-    bytes: u64,
-}
+use std::sync::Arc;
 
 /// Registry counters, exposed for the service's `Bye` statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -108,11 +75,8 @@ pub struct SessionHandle {
 /// by a session count and a memory cap. See the [module docs](self).
 #[derive(Debug)]
 pub struct SessionRegistry {
-    /// Slots in LRU order: index 0 is the coldest.
-    inner: Mutex<RegistryInner>,
-    /// Signalled whenever a cold-build leader finishes (successfully or
-    /// not) so waiters re-check the slots.
-    build_ready: Condvar,
+    /// The resident sessions and counters, under the cold-build flight.
+    flight: Flight<ContentKey, RegistryInner>,
     max_sessions: usize,
     max_table_bytes: u64,
     /// When set, every built engine shares this row store, so module
@@ -130,9 +94,9 @@ pub struct SessionRegistry {
 
 #[derive(Debug, Default)]
 struct RegistryInner {
-    slots: Vec<SessionSlot>,
-    /// Keys whose cold build is currently led by some caller.
-    inflight: Vec<(u64, Arc<str>)>,
+    /// Warm engines, charged their last-assessed
+    /// [`Engine::table_memory_bytes`].
+    slots: Lru<ContentKey, Arc<Engine>>,
     stats: RegistryStats,
 }
 
@@ -142,8 +106,7 @@ impl SessionRegistry {
     /// least one session).
     pub fn new(max_sessions: usize, max_table_bytes: u64) -> Self {
         SessionRegistry {
-            inner: Mutex::new(RegistryInner::default()),
-            build_ready: Condvar::new(),
+            flight: Flight::new(RegistryInner::default()),
             max_sessions: max_sessions.max(1),
             max_table_bytes,
             row_store: None,
@@ -191,83 +154,52 @@ impl SessionRegistry {
     /// SOC fails validation (via [`crate::engine::EngineBuilder::try_build`]) —
     /// nothing is admitted in that case.
     pub fn get_or_build(&self, soc: &Soc) -> Result<SessionHandle, OptimizeError> {
-        let canonical: Arc<str> = write_soc(soc).into();
-        let hash = fnv1a64(&canonical);
+        let key = ContentKey::new(write_soc(soc));
         let mut waited = false;
-        let mut inner = self.lock();
+        let mut inner = self.flight.lock();
         loop {
-            if let Some(position) = inner
-                .slots
-                .iter()
-                .position(|slot| slot.hash == hash && slot.canonical == canonical)
-            {
-                // Touch: move to the hot end. A waiter that wakes to
-                // find the leader's slot counts as a plain hit — same
-                // observable outcome as the old serialized behaviour.
-                let slot = inner.slots.remove(position);
-                let engine = Arc::clone(&slot.engine);
-                inner.slots.push(slot);
+            // A waiter that wakes to find the leader's slot counts as a
+            // plain hit — same observable outcome as a serialised build.
+            if let Some(engine) = inner.slots.get(&key) {
+                let engine = Arc::clone(engine);
                 inner.stats.hits += 1;
                 return Ok(SessionHandle {
                     engine,
                     warm: true,
-                    key: hash,
-                    canonical,
+                    key: key.hash,
+                    canonical: key.canonical,
                 });
             }
 
-            let in_flight = inner
-                .inflight
-                .iter()
-                .any(|(h, c)| *h == hash && *c == canonical);
-            if in_flight {
-                // An identical build is running: wait for its guard to
-                // notify, then re-check. A failed leader leaves no slot,
-                // so the next waiter through becomes the new leader.
+            if inner.in_flight(&key) {
+                // A failed leader leaves no slot, so the next waiter
+                // through becomes the new leader.
                 if !waited {
                     waited = true;
                     inner.stats.coalesced_builds += 1;
                 }
-                inner = self
-                    .build_ready
-                    .wait_timeout(inner, WAIT_SLICE)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
+                inner = self.flight.wait(inner);
                 continue;
             }
 
-            // Lead: plant the in-flight marker, drop the lock, build.
             inner.stats.misses += 1;
-            inner.inflight.push((hash, Arc::clone(&canonical)));
-            drop(inner);
-            let _guard = BuildGuard {
-                registry: self,
-                hash,
-                canonical: Arc::clone(&canonical),
-            };
-            // The guard's Drop clears the marker and wakes waiters on
-            // the error return below and on unwind alike.
-            let engine = Arc::new(self.build_engine(soc, hash)?);
+            // The lead guard clears the marker and wakes waiters on the
+            // error return below and on unwind alike.
+            let _lead = self.flight.lead(inner, key.clone());
+            let engine = Arc::new(self.build_engine(soc, key.hash)?);
             let bytes = engine.table_memory_bytes();
-            let mut inner = self.lock();
-            // Double-checked insert: never stack a duplicate slot.
-            inner
-                .slots
-                .retain(|slot| !(slot.hash == hash && slot.canonical == canonical));
+            let mut inner = self.flight.lock();
             inner.stats.created += 1;
-            inner.slots.push(SessionSlot {
-                hash,
-                canonical: Arc::clone(&canonical),
-                engine: Arc::clone(&engine),
-                bytes,
-            });
-            self.evict_over_caps(&mut inner);
+            inner.slots.insert(key.clone(), Arc::clone(&engine), bytes);
+            inner.stats.evictions += inner
+                .slots
+                .evict_over(self.max_sessions, self.max_table_bytes);
             drop(inner);
             return Ok(SessionHandle {
                 engine,
                 warm: false,
-                key: hash,
-                canonical,
+                key: key.hash,
+                canonical: key.canonical,
             });
         }
     }
@@ -289,77 +221,44 @@ impl SessionRegistry {
 
     /// Re-assesses a session's memory charge after a request ran (its
     /// table may have grown or been rebuilt wider) and re-applies the
-    /// caps. A no-op for sessions already evicted. Matches the full
-    /// `(hash, canonical)` key — on an FNV-1a collision the charge must
-    /// land on the session that actually ran, not a hash twin.
+    /// caps, without touching the session's recency. A no-op for
+    /// sessions already evicted. Matches the full `(hash, canonical)`
+    /// key — on an FNV-1a collision the charge must land on the session
+    /// that actually ran, not a hash twin.
     pub fn reassess(&self, key: u64, canonical: &str) {
-        let mut inner = self.lock();
-        if let Some(slot) = inner
+        let key = ContentKey {
+            hash: key,
+            canonical: canonical.into(),
+        };
+        let mut inner = self.flight.lock();
+        if let Some(bytes) = inner
             .slots
-            .iter_mut()
-            .find(|slot| slot.hash == key && slot.canonical.as_ref() == canonical)
+            .peek(&key)
+            .map(|engine| engine.table_memory_bytes())
         {
-            slot.bytes = slot.engine.table_memory_bytes();
+            inner.slots.recharge(&key, bytes);
         }
-        self.evict_over_caps(&mut inner);
+        inner.stats.evictions += inner
+            .slots
+            .evict_over(self.max_sessions, self.max_table_bytes);
     }
 
-    /// Current counters (bytes recomputed from the resident slots).
+    /// Current counters.
     pub fn stats(&self) -> RegistryStats {
-        let inner = self.lock();
+        let inner = self.flight.lock();
         let mut stats = inner.stats;
-        stats.current_bytes = inner.slots.iter().map(|slot| slot.bytes).sum();
+        stats.current_bytes = inner.slots.bytes();
         stats
     }
 
     /// Number of resident sessions.
     pub fn len(&self) -> usize {
-        self.lock().slots.len()
+        self.flight.lock().slots.len()
     }
 
     /// Whether no session is resident.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Evicts coldest-first while over either cap, always sparing the
-    /// hottest slot.
-    fn evict_over_caps(&self, inner: &mut RegistryInner) {
-        loop {
-            let total: u64 = inner.slots.iter().map(|slot| slot.bytes).sum();
-            let over = inner.slots.len() > self.max_sessions || total > self.max_table_bytes;
-            if !over || inner.slots.len() <= 1 {
-                break;
-            }
-            inner.slots.remove(0);
-            inner.stats.evictions += 1;
-        }
-    }
-
-    // A panicking request can never leave the registry mid-mutation (all
-    // mutations happen outside the optimizer's unwind path), so poisoning
-    // only records that *some* thread panicked — recover the data.
-    fn lock(&self) -> std::sync::MutexGuard<'_, RegistryInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Clears the leader's in-flight marker and wakes waiters, whether the
-/// build succeeded, returned an error, or panicked.
-struct BuildGuard<'a> {
-    registry: &'a SessionRegistry,
-    hash: u64,
-    canonical: Arc<str>,
-}
-
-impl Drop for BuildGuard<'_> {
-    fn drop(&mut self) {
-        let mut inner = self.registry.lock();
-        inner
-            .inflight
-            .retain(|(h, c)| !(*h == self.hash && *c == self.canonical));
-        drop(inner);
-        self.registry.build_ready.notify_all();
     }
 }
 
@@ -368,6 +267,8 @@ mod tests {
     use super::*;
     use soctest_soc_model::benchmarks::{d695, p22810};
     use soctest_soc_model::{Module, Soc};
+    use soctest_tam::fnv1a64;
+    use std::time::Duration;
 
     #[test]
     fn same_content_shares_a_session_across_spellings() {
@@ -462,19 +363,13 @@ mod tests {
         let engine_a = Arc::new(Engine::builder(&d695()).try_build().unwrap());
         let engine_b = Arc::new(Engine::builder(&d695()).try_build().unwrap());
         {
-            let mut inner = registry.lock();
-            inner.slots.push(SessionSlot {
+            let mut inner = registry.flight.lock();
+            let key = |canonical: &str| ContentKey {
                 hash: 42,
-                canonical: "a".into(),
-                engine: Arc::clone(&engine_a),
-                bytes: 7,
-            });
-            inner.slots.push(SessionSlot {
-                hash: 42,
-                canonical: "b".into(),
-                engine: Arc::clone(&engine_b),
-                bytes: 7,
-            });
+                canonical: canonical.into(),
+            };
+            inner.slots.insert(key("a"), Arc::clone(&engine_a), 7);
+            inner.slots.insert(key("b"), Arc::clone(&engine_b), 7);
         }
         // Widen b's table by serving a request on it.
         use crate::engine::OptimizeRequest;
@@ -488,13 +383,13 @@ mod tests {
             .run(&OptimizeRequest::new(OptimizerConfig::new(cell)))
             .unwrap();
         registry.reassess(42, "b");
-        let inner = registry.lock();
+        let inner = registry.flight.lock();
         let charge = |canonical: &str| {
             inner
                 .slots
                 .iter()
-                .find(|slot| slot.canonical.as_ref() == canonical)
-                .map(|slot| slot.bytes)
+                .find(|(key, _, _)| key.canonical.as_ref() == canonical)
+                .map(|(_, _, bytes)| bytes)
                 .unwrap()
         };
         assert_eq!(charge("a"), 7, "hash twin must keep its stale charge");
@@ -572,7 +467,7 @@ mod tests {
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.created, 0);
         assert!(registry.is_empty());
-        assert!(registry.lock().inflight.is_empty());
+        assert!(registry.flight.is_idle());
     }
 
     #[test]
@@ -603,7 +498,7 @@ mod tests {
 
     #[test]
     fn fnv_hash_is_stable_and_content_sensitive() {
-        assert_eq!(fnv1a64(""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a64("soc a\n"), fnv1a64("soc b\n"));
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_ne!(fnv1a64(b"soc a\n"), fnv1a64(b"soc b\n"));
     }
 }

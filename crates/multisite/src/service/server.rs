@@ -45,7 +45,7 @@ use crate::service::protocol::{
     SocSpec, TraceSummary,
 };
 use crate::service::registry::SessionRegistry;
-use crate::service::resolve_named_soc;
+use crate::service::{lock, resolve_named_soc};
 use soctest_soc_model::parser::parse_soc;
 use soctest_soc_model::validate::{Severity, ValidationIssue};
 use soctest_soc_model::Soc;
@@ -56,7 +56,7 @@ use std::fmt;
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -72,6 +72,13 @@ pub const ROWS_FILE: &str = "rows.v1";
 /// a restarted server answers repeat requests as cache hits without
 /// recomputing a single cell.
 pub const SOLUTIONS_FILE: &str = "solutions.v1";
+
+/// The longest frame line a reader buffers, far above any real frame
+/// (the largest committed one is about 6.5 KB). A longer line costs one
+/// typed `Protocol` error and is skipped up to its newline unbuffered,
+/// so a client that never sends a newline cannot grow the reader's
+/// memory.
+pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone)]
@@ -341,10 +348,7 @@ impl Server {
             config.max_result_bytes,
         ));
         let store_cells_loaded = match &config.cache_dir {
-            Some(dir) => {
-                load_solution_cache(&solutions, dir, &config.faults);
-                load_row_store(&row_store, dir, &config.faults)
-            }
+            Some(dir) => load_caches(&solutions, &row_store, dir, &config.faults),
             None => 0,
         };
         let registry = SessionRegistry::with_row_store(
@@ -460,16 +464,24 @@ impl Server {
     }
 
     /// The reader loop of one connection: parses lines, admits / sheds /
-    /// cancels, closes the connection when the stream ends.
-    pub(crate) fn run_reader<R: BufRead>(&self, input: R, conn: &Arc<Connection>) {
-        for line in input.lines() {
-            let Ok(line) = line else {
-                break; // read error: treat as end of stream
+    /// cancels, closes the connection when the stream ends. A line that
+    /// is not UTF-8 or is longer than [`MAX_FRAME_BYTES`] answers one
+    /// typed `Protocol` error, and the next line is served as usual.
+    pub(crate) fn run_reader<R: BufRead>(&self, mut input: R, conn: &Arc<Connection>) {
+        let mut line = Vec::new();
+        // A read error is treated as end of stream.
+        while let Ok(Some(fits)) = read_frame(&mut input, &mut line) {
+            let frame = if !fits {
+                Err(format!("frame longer than {MAX_FRAME_BYTES} bytes"))
+            } else if let Ok(text) = std::str::from_utf8(&line) {
+                if text.trim().is_empty() {
+                    continue;
+                }
+                parse_client_frame(text)
+            } else {
+                Err("frame is not valid UTF-8".to_string())
             };
-            if line.trim().is_empty() {
-                continue;
-            }
-            match parse_client_frame(&line) {
+            match frame {
                 Ok(ClientFrame::Optimize(frame)) => self.admit(conn, frame),
                 Ok(ClientFrame::Cancel { request_id }) => self.cancel(conn, &request_id),
                 Ok(ClientFrame::Shutdown) => break,
@@ -692,17 +704,10 @@ impl Server {
         stats.evictions = registry.evictions;
         // Persist the row store before `Bye` so the saved-row count can
         // ride in the statistics frame.
-        let store_rows_saved = match (&self.config.cache_dir, conn.persist_on_bye) {
-            (Some(dir), true) => {
-                save_solution_cache(&self.solutions, dir, &self.config.faults);
-                save_row_store(
-                    &self.row_store,
-                    dir,
-                    self.config.max_store_bytes,
-                    &self.config.faults,
-                )
-            }
-            _ => 0,
+        let store_rows_saved = if conn.persist_on_bye {
+            self.save_store_now()
+        } else {
+            0
         };
         let solutions = self.solutions.stats();
         stats.cache = CacheStats {
@@ -740,13 +745,10 @@ impl Server {
     ///
     /// The first write error of the connection's sink, if any.
     pub(crate) fn wait_finished(&self, conn: &Connection) -> std::io::Result<ServerStats> {
-        let mut writer = lock(&conn.writer);
-        while !writer.finished {
-            writer = conn
-                .finished_cv
-                .wait(writer)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        let mut writer = conn
+            .finished_cv
+            .wait_while(lock(&conn.writer), |writer| !writer.finished)
+            .unwrap_or_else(PoisonError::into_inner);
         match writer.error.take() {
             Some(error) => Err(error),
             None => Ok(writer.bye.expect("finished connection recorded its Bye")),
@@ -762,13 +764,13 @@ impl Server {
     /// finishes: the wait here must never outlive the drain's own
     /// bounded wait.
     pub(crate) fn await_finished(&self, conn: &Connection) {
-        let mut writer = lock(&conn.writer);
-        while !writer.finished && !writer.abandoned {
-            writer = conn
-                .finished_cv
-                .wait(writer)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        drop(
+            conn.finished_cv
+                .wait_while(lock(&conn.writer), |writer| {
+                    !writer.finished && !writer.abandoned
+                })
+                .unwrap_or_else(PoisonError::into_inner),
+        );
     }
 
     /// Gives up on a stuck connection: releases every
@@ -784,19 +786,11 @@ impl Server {
     /// Waits up to `timeout` for the connection to finish; `true` once
     /// its `Bye` has left.
     pub(crate) fn wait_finished_timeout(&self, conn: &Connection, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut writer = lock(&conn.writer);
-        while !writer.finished {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return false;
-            };
-            let (guard, _) = conn
-                .finished_cv
-                .wait_timeout(writer, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            writer = guard;
-        }
-        true
+        let (_writer, wait) = conn
+            .finished_cv
+            .wait_timeout_while(lock(&conn.writer), timeout, |writer| !writer.finished)
+            .unwrap_or_else(PoisonError::into_inner);
+        !wait.timed_out()
     }
 
     /// Tightens every in-flight token of the connection to at most
@@ -809,21 +803,28 @@ impl Server {
         }
     }
 
-    /// Persists the row store and solution cache now (transport drain);
-    /// `0` without a configured cache dir.
+    /// Persists the solution cache, then the row store, into the cache
+    /// dir (created if absent) and returns the rows written: `0` without
+    /// a configured cache dir or when the save fails. With
+    /// [`ServerConfig::max_store_bytes`] the coldest-touched rows are
+    /// dropped until the file fits.
     pub(crate) fn save_store_now(&self) -> u64 {
-        match &self.config.cache_dir {
-            Some(dir) => {
-                save_solution_cache(&self.solutions, dir, &self.config.faults);
-                save_row_store(
-                    &self.row_store,
-                    dir,
-                    self.config.max_store_bytes,
-                    &self.config.faults,
-                )
-            }
-            None => 0,
-        }
+        let Some(dir) = &self.config.cache_dir else {
+            return 0;
+        };
+        let faults = &self.config.faults;
+        let path = dir.join(SOLUTIONS_FILE);
+        isolate_store_io(faults, "save", "solution cache", &path, || {
+            std::fs::create_dir_all(dir)?;
+            self.solutions.save(&path)
+        });
+        let path = dir.join(ROWS_FILE);
+        isolate_store_io(faults, "save", "row cache", &path, || {
+            std::fs::create_dir_all(dir)?;
+            let max_bytes = self.config.max_store_bytes.unwrap_or(u64::MAX);
+            self.row_store.save_capped(&path, max_bytes)
+        })
+        .unwrap_or(0)
     }
 
     /// Serves one admitted request, converting every failure mode —
@@ -933,6 +934,40 @@ impl Server {
     }
 }
 
+/// Reads the next line of `input` into `line` without its `\n` or
+/// `\r\n`, buffering at most [`MAX_FRAME_BYTES`]: the rest of a longer
+/// line is discarded up to its newline. `Some(true)` for a line that
+/// fit, `Some(false)` for an over-long one, `None` at end of stream.
+fn read_frame(input: &mut impl BufRead, line: &mut Vec<u8>) -> std::io::Result<Option<bool>> {
+    line.clear();
+    let mut fits = true;
+    let mut read_any = false;
+    loop {
+        let available = match input.fill_buf() {
+            Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
+            other => other?,
+        };
+        if available.is_empty() {
+            return Ok(read_any.then_some(fits));
+        }
+        read_any = true;
+        let newline = available.iter().position(|&byte| byte == b'\n');
+        let chunk = &available[..newline.unwrap_or(available.len())];
+        fits &= line.len() + chunk.len() <= MAX_FRAME_BYTES;
+        if fits {
+            line.extend_from_slice(chunk);
+        }
+        let used = chunk.len() + usize::from(newline.is_some());
+        input.consume(used);
+        if newline.is_some() {
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+            return Ok(Some(fits));
+        }
+    }
+}
+
 /// Takes the job out of a claimed slot, leaving `Running` behind.
 fn claim(conn: &Connection, seq: u64) -> Job {
     let mut state = lock(&conn.state);
@@ -943,122 +978,55 @@ fn claim(conn: &Connection, seq: u64) -> Job {
     }
 }
 
-/// Loads the persisted row store from `dir`, isolating every failure
-/// mode — I/O errors, corruption, and injected store-stage panics —
-/// into a stderr warning and a cold store. Returns the cells merged.
-fn load_row_store(store: &Arc<RowStore>, dir: &Path, faults: &FaultPlan) -> u64 {
+/// Loads both cache files from `dir`, solutions first; returns the
+/// row-store cells merged. A missing file is an empty cache.
+fn load_caches(solutions: &SolutionCache, rows: &RowStore, dir: &Path, faults: &FaultPlan) -> u64 {
+    let path = dir.join(SOLUTIONS_FILE);
+    isolate_store_io(faults, "load", "solution cache", &path, || {
+        solutions.load_if_present(&path)
+    });
     let path = dir.join(ROWS_FILE);
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        faults.fire(Stage::Store, "load");
-        store.load_if_present(&path)
-    }));
-    match attempt {
-        Ok(Ok(cells)) => cells,
-        Ok(Err(error)) => {
-            eprintln!(
-                "warning: ignoring row cache {}: {error}; starting cold",
-                path.display()
-            );
-            0
-        }
-        Err(payload) => {
-            eprintln!(
-                "warning: row cache load panicked: {}; starting cold",
-                panic_message(payload.as_ref())
-            );
-            0
-        }
-    }
+    isolate_store_io(faults, "load", "row cache", &path, || {
+        rows.load_if_present(&path)
+    })
+    .unwrap_or(0)
 }
 
-/// Saves the row store into `dir` (created if absent) with the same
-/// isolation as [`load_row_store`]: a failed save costs the cache, not
-/// the session. With a byte bound the coldest-touched rows are dropped
-/// until the file fits. Returns the rows written (0 on failure).
-fn save_row_store(
-    store: &Arc<RowStore>,
-    dir: &Path,
-    max_bytes: Option<u64>,
+/// Runs one cache-file `action` (`"load"` or `"save"`, which is also the
+/// [`Stage::Store`] fault's pseudo request id) with every failure mode —
+/// I/O errors, corruption and injected panics — isolated into a stderr
+/// warning and `None`: a bad cache file costs the cache, never the
+/// session.
+fn isolate_store_io<T, E: fmt::Display>(
     faults: &FaultPlan,
-) -> u64 {
-    let path = dir.join(ROWS_FILE);
+    action: &str,
+    what: &str,
+    path: &Path,
+    io: impl FnOnce() -> Result<T, E>,
+) -> Option<T> {
     let attempt = catch_unwind(AssertUnwindSafe(|| {
-        faults.fire(Stage::Store, "save");
-        std::fs::create_dir_all(dir)?;
-        store.save_capped(&path, max_bytes.unwrap_or(u64::MAX))
+        faults.fire(Stage::Store, action);
+        io()
     }));
+    let loading = action == "load";
     match attempt {
-        Ok(Ok(rows)) => rows,
-        Ok(Err(error)) => {
-            eprintln!(
-                "warning: failed to save row cache {}: {error}",
-                path.display()
-            );
-            0
-        }
-        Err(payload) => {
-            eprintln!(
-                "warning: row cache save panicked: {}; cache not written",
-                panic_message(payload.as_ref())
-            );
-            0
-        }
+        Ok(Ok(value)) => return Some(value),
+        Ok(Err(error)) if loading => eprintln!(
+            "warning: ignoring {what} {}: {error}; starting cold",
+            path.display()
+        ),
+        Ok(Err(error)) => eprintln!("warning: failed to save {what} {}: {error}", path.display()),
+        Err(payload) => eprintln!(
+            "warning: {what} {action} panicked: {}; {}",
+            panic_message(payload.as_ref()),
+            if loading {
+                "starting cold"
+            } else {
+                "cache not written"
+            }
+        ),
     }
-}
-
-/// Loads the persisted solution cache from `dir` with the failure
-/// isolation of [`load_row_store`]: a missing file is an empty cache, a
-/// corrupt one is a stderr warning and a clean miss. Returns the
-/// entries merged.
-fn load_solution_cache(cache: &Arc<SolutionCache>, dir: &Path, faults: &FaultPlan) -> u64 {
-    let path = dir.join(SOLUTIONS_FILE);
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        faults.fire(Stage::Store, "load");
-        cache.load_if_present(&path)
-    }));
-    match attempt {
-        Ok(Ok(entries)) => entries,
-        Ok(Err(error)) => {
-            eprintln!(
-                "warning: ignoring solution cache {}: {error}; starting cold",
-                path.display()
-            );
-            0
-        }
-        Err(payload) => {
-            eprintln!(
-                "warning: solution cache load panicked: {}; starting cold",
-                panic_message(payload.as_ref())
-            );
-            0
-        }
-    }
-}
-
-/// Saves the solution cache into `dir` (created if absent) with the
-/// same isolation as [`save_row_store`].
-fn save_solution_cache(cache: &Arc<SolutionCache>, dir: &Path, faults: &FaultPlan) {
-    let path = dir.join(SOLUTIONS_FILE);
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        faults.fire(Stage::Store, "save");
-        std::fs::create_dir_all(dir)?;
-        cache.save(&path)
-    }));
-    match attempt {
-        Ok(Ok(())) => {}
-        Ok(Err(error)) => {
-            eprintln!(
-                "warning: failed to save solution cache {}: {error}",
-                path.display()
-            );
-        }
-        Err(payload) => {
-            eprintln!(
-                "warning: solution cache save panicked: {}; cache not written",
-                panic_message(payload.as_ref())
-            );
-        }
-    }
+    None
 }
 
 /// Resolves the SOC a request targets; every failure is a typed
@@ -1091,10 +1059,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     } else {
         "<non-string panic payload>"
     }
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -1170,6 +1134,20 @@ mod tests {
             .map(|line| serde_json::from_str::<ServerFrame>(line).expect("server frame parses"))
             .collect();
         (frames, stats)
+    }
+
+    #[test]
+    fn read_frame_splits_lines_like_bufread_lines() {
+        // `\n` and `\r\n` endings are stripped, an unterminated last
+        // line still counts, and invalid UTF-8 is handed up as bytes.
+        let mut input = Cursor::new(b"a\r\n\nb\xff\nlast".to_vec());
+        let mut line = Vec::new();
+        let mut lines = Vec::new();
+        while let Some(fits) = read_frame(&mut input, &mut line).unwrap() {
+            assert!(fits);
+            lines.push(line.clone());
+        }
+        assert_eq!(lines, [&b"a"[..], b"", b"b\xff", b"last"]);
     }
 
     #[test]

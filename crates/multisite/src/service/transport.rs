@@ -44,6 +44,7 @@
 //! [`ConnectionStats`]: crate::service::protocol::ConnectionStats
 
 use crate::service::faults::Stage;
+use crate::service::lock;
 use crate::service::protocol::ServerStats;
 use crate::service::server::{panic_message, Server};
 use std::fmt;
@@ -52,7 +53,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -578,10 +579,6 @@ impl Drop for BoundListener {
             let _ = std::fs::remove_file(path);
         }
     }
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

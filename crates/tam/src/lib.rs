@@ -72,7 +72,7 @@ pub use error::TamError;
 pub use lazy::{LazyTimeTable, StatsEpoch};
 pub use schedule::{ScheduleEntry, TestSchedule};
 pub use store::{
-    open_envelope, push_u64, seal_envelope, write_atomic, Cursor, RowStore, RowStoreStats,
+    fnv1a64, open_envelope, push_u64, seal_envelope, write_atomic, Cursor, RowStore, RowStoreStats,
     StoreError, StoreRow,
 };
 pub use timetable::{clamped_tam_width, max_tam_width, TimeLookup, TimeTable};

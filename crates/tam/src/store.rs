@@ -74,9 +74,10 @@ const VERSION: u8 = b'1';
 /// of stamps matters, never their absolute values.
 static TOUCH_CLOCK: AtomicU64 = AtomicU64::new(1);
 
-/// FNV-1a 64-bit over raw bytes — the same stable, dependency-free hash
-/// the service registry uses over canonical SOC text.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit over raw bytes: the stable, dependency-free hash behind
+/// every checksum and content key in the workspace (this store's rows and
+/// files, the service's SOC and request identities).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &byte in bytes {
         hash ^= u64::from(byte);
