@@ -19,6 +19,11 @@
 //!   full table the optimizer actually probes);
 //! * the end-to-end two-step `optimize` on d695 and the PNX8550 stand-in;
 //! * the Figure 6(a) `channel_sweep` on the PNX8550 stand-in;
+//! * an attribution ladder over a warm table
+//!   (`optimize/pnx8550_like/{eager_table, lazy, lazy+cancel}`, plus
+//!   `channel_sweep/pnx8550_like/fig6a/cancel`): one lookup-path layer
+//!   per rung, each rung asserted bit-identical to the one before it
+//!   before timing; informational, not gated;
 //! * a heterogeneous engine batch (Figures 6(a)+6(b)+7(a)+7(b) at once)
 //!   through one shared-table `Engine::run_batch`, against the same four
 //!   experiments through the per-call-table free functions — results
@@ -293,6 +298,64 @@ fn main() {
     measurements.push(measure("channel_sweep/pnx8550_like/fig6a", || {
         channel_sweep(&pnx, &pnx_config, &channels).expect("every fig6a point is feasible")
     }));
+
+    // --- Attribution ladder: one lookup-path layer per rung --------------
+    // The same PNX optimization over an already-warm table, adding one
+    // layer per rung: a fully built eager table, the session engine's
+    // lazy table, then the lazy table behind a cancellation token (polled
+    // once per table row). `fig6a/cancel` is `fig6a` above served under a
+    // token. Every rung is asserted bit-identical to the rung before it;
+    // the numbers are informational and not gated.
+    {
+        let plain = OptimizeRequest::new(pnx_config);
+        let sweep =
+            OptimizeRequest::new(pnx_config).with_sweep(SweepAxis::Channels(channels.clone()));
+        let eager = TimeTable::build(&pnx, lazy_width);
+        let engine = Engine::new(&pnx);
+        let token = CancelToken::new();
+        // `channel_sweep`'s one-shot engine, sized once for the sweep.
+        let sweep_engine = || {
+            Engine::builder(&pnx)
+                .max_channels(sweep.peak_channels())
+                .build()
+        };
+        let eager_solution = optimize_with_table(pnx.name(), &eager, &pnx_config)
+            .expect("the PNX stand-in fits the paper's test cell");
+        let lazy = engine.run(&plain).expect("the PNX stand-in fits");
+        assert_eq!(
+            lazy.clone().into_solution().as_ref(),
+            Some(&eager_solution),
+            "ladder: the lazy rung diverged from the eager table"
+        );
+        assert_eq!(
+            engine.run_with_cancel(&plain, &token),
+            Ok(lazy),
+            "ladder: the cancel rung diverged from the lazy one"
+        );
+        assert_eq!(
+            sweep_engine()
+                .run_with_cancel(&sweep, &token)
+                .expect("every fig6a point is feasible")
+                .curves()
+                .map(|curves| curves[0].points.clone()),
+            Some(channel_sweep(&pnx, &pnx_config, &channels).expect("feasible")),
+            "ladder: fig6a/cancel diverged from fig6a"
+        );
+        measurements.push(measure("optimize/pnx8550_like/eager_table", || {
+            optimize_with_table(pnx.name(), &eager, &pnx_config).expect("feasible")
+        }));
+        measurements.push(measure("optimize/pnx8550_like/lazy", || {
+            engine.run(&plain).expect("feasible")
+        }));
+        measurements.push(measure("optimize/pnx8550_like/lazy+cancel", || {
+            engine.run_with_cancel(&plain, &token).expect("feasible")
+        }));
+        measurements.push(measure("channel_sweep/pnx8550_like/fig6a/cancel", || {
+            sweep_engine()
+                .run_with_cancel(&sweep, &token)
+                .expect("every fig6a point is feasible")
+        }));
+    }
 
     // --- Engine batch: one shared table vs per-call tables ---------------
     // The heterogeneous Section 7 batch — all of Figures 6(a), 6(b), 7(a)

@@ -545,7 +545,9 @@ pub struct RequestTrace {
     /// concurrency this includes other requests' jobs).
     pub pool: rayon::PoolStats,
     /// Cancellation-token polls observed while serving (0 without a
-    /// token).
+    /// token): one per sweep point plus one per table row — a Step 1
+    /// module placement or width search, a Step 2 site count or group
+    /// re-wrap — never one per cell lookup.
     pub cancel_probes: u64,
     /// Sweep points answered from the session's [`PointMemo`] instead of
     /// being optimized (0 without a memo, and for plain requests).
@@ -971,8 +973,8 @@ impl Engine {
     /// diffs of the table, row store and pool taken around the run).
     ///
     /// The response is bit-identical to [`Engine::run`] — tracing only
-    /// reads counters. The trace's store snapshot walks the resident
-    /// rows, so the untraced [`Engine::run`] stays the hot path.
+    /// reads counters (a handful of atomic loads per snapshot, plus the
+    /// process CPU clock).
     pub fn run_traced(
         &self,
         request: &OptimizeRequest,
@@ -990,8 +992,9 @@ impl Engine {
     /// Serves one request under a cooperative [`CancelToken`]: the token
     /// is polled at sweep-point granularity between optimizations and —
     /// through a guarded table — at table-row granularity inside each
-    /// one, so both a `Cancel` frame and a deadline expiry terminate the
-    /// work within a few table probes.
+    /// one (once per Step 1 module row, Step 2 site count and group
+    /// re-wrap; cell lookups are not probed), so both a `Cancel` frame
+    /// and a deadline expiry terminate the work within a few rows.
     ///
     /// Results are bit-identical to [`Engine::run`] when the token never
     /// fires: the guard only forwards lookups.

@@ -81,6 +81,7 @@ pub fn optimize_with_table<T: TimeLookup + ?Sized>(
     // Step 2: evaluate every site count, redistributing freed channels.
     let mut curve = Vec::with_capacity(max_sites);
     for sites in 1..=max_sites {
+        table.checkpoint();
         let architecture = architecture_for_sites(&step1, table, channels, sites, config);
         curve.push(evaluate_point(&architecture, sites, config));
     }

@@ -8,16 +8,22 @@
 //!   [`CancelToken::check`] between optimizations and return the typed
 //!   [`OptimizeError::Cancelled`] / [`OptimizeError::DeadlineExceeded`];
 //! * **table-row granularity** — `CancelGuarded` wraps the session's
-//!   time table and probes the token on every [`TimeLookup::time`] call,
-//!   so even one long-running optimization inside a single sweep point
-//!   stops within a few table lookups. `time` returns a bare `u64`, so
-//!   the guard bails by unwinding with a private `CancelUnwind`
-//!   payload; [`crate::engine::Engine::run_with_cancel`] catches it at
-//!   the request boundary and converts it back into the typed error.
+//!   time table and probes the token once per unit of row-sized work:
+//!   every [`TimeLookup::checkpoint`] (one module placed by Step 1, one
+//!   site count of Step 2), every [`TimeLookup::min_width_for_time`]
+//!   (one module row's binary search, which is where a cold table
+//!   fills) and every [`TimeLookup::group_fill`] (one channel-group
+//!   re-wrap). Plain [`TimeLookup::time`] lookups are forwarded
+//!   unprobed, so a warm table pays nothing per cell, yet one
+//!   long-running optimization inside a single sweep point still stops
+//!   within a few rows. The probed methods return bare values, so the
+//!   guard bails by unwinding with a private `CancelUnwind` payload;
+//!   [`crate::engine::Engine::run_with_cancel`] catches it at the
+//!   request boundary and converts it back into the typed error.
 //!
 //! Deadline probes throttle the `Instant::now()` syscall to every 64th
-//! table lookup (the cancelled flag is checked on every probe — an
-//! explicit `Cancel` takes effect immediately); at typical row costs that
+//! row probe (the cancelled flag is checked on every probe — an explicit
+//! `Cancel` takes effect at the next row); at typical row costs that
 //! bounds the overshoot well below a millisecond.
 
 use crate::error::OptimizeError;
@@ -180,7 +186,7 @@ impl CancelToken {
 
     /// Unwinds with a [`CancelUnwind`] payload when the token says stop —
     /// the escape hatch for infallible interfaces like
-    /// [`TimeLookup::time`]. Must run under the `catch_unwind` of
+    /// [`TimeLookup::checkpoint`]. Must run under the `catch_unwind` of
     /// [`crate::engine::Engine::run_with_cancel`], which turns the
     /// payload back into the typed error.
     pub(crate) fn bail_if_stopped(&self) {
@@ -224,9 +230,11 @@ fn install_quiet_cancel_hook() {
     });
 }
 
-/// A [`TimeLookup`] adapter that probes a [`CancelToken`] on every cell
-/// lookup, giving table-row-granular cancellation to every algorithm that
-/// reads the table — with zero change to the algorithms themselves.
+/// A [`TimeLookup`] adapter that probes a [`CancelToken`] once per table
+/// row — at every [`TimeLookup::checkpoint`], [`TimeLookup::min_width_for_time`]
+/// and [`TimeLookup::group_fill`] — giving row-granular cancellation to
+/// every algorithm that reads the table, while [`TimeLookup::time`] stays
+/// a plain forward.
 #[derive(Debug)]
 pub(crate) struct CancelGuarded<'a, T: ?Sized> {
     table: &'a T,
@@ -249,14 +257,29 @@ impl<T: TimeLookup + ?Sized> TimeLookup for CancelGuarded<'_, T> {
     }
 
     fn time(&self, module: ModuleId, width: usize) -> u64 {
-        self.token.bail_if_stopped();
         self.table.time(module, width)
+    }
+
+    fn checkpoint(&self) {
+        self.token.bail_if_stopped();
+        self.table.checkpoint();
+    }
+
+    fn min_width_for_time(&self, module: ModuleId, max_cycles: u64) -> Option<usize> {
+        self.token.bail_if_stopped();
+        self.table.min_width_for_time(module, max_cycles)
+    }
+
+    fn group_fill(&self, modules: &[ModuleId], width: usize) -> u64 {
+        self.token.bail_if_stopped();
+        self.table.group_fill(modules, width)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use soctest_tam::TimeTable;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Duration;
 
@@ -355,5 +378,80 @@ mod tests {
             }
         }
         assert!(stopped, "expired deadline not observed within one stride");
+    }
+
+    /// A small eager table to guard: d695 up to width 16.
+    fn d695_table() -> TimeTable {
+        TimeTable::build(&soctest_soc_model::benchmarks::d695(), 16)
+    }
+
+    /// One row-granular probe of a guarded table, by name.
+    type RowProbe = (&'static str, fn(&CancelGuarded<'_, TimeTable>));
+
+    /// The three row-granular probes, each invoked once.
+    fn row_probes() -> [RowProbe; 3] {
+        [
+            ("checkpoint", |guarded| guarded.checkpoint()),
+            ("min_width_for_time", |guarded| {
+                std::hint::black_box(guarded.min_width_for_time(ModuleId(0), u64::MAX));
+            }),
+            ("group_fill", |guarded| {
+                std::hint::black_box(guarded.group_fill(&[ModuleId(0), ModuleId(1)], 4));
+            }),
+        ]
+    }
+
+    #[test]
+    fn guarded_time_is_a_plain_forward() {
+        let table = d695_table();
+        // Even a cancelled token is not consulted by a cell lookup.
+        let token = CancelToken::new();
+        token.cancel();
+        let guarded = CancelGuarded::new(&table, &token);
+        for width in 1..=16 {
+            assert_eq!(
+                guarded.time(ModuleId(3), width),
+                table.time(ModuleId(3), width)
+            );
+        }
+        assert_eq!(token.polls(), 0);
+    }
+
+    #[test]
+    fn each_row_probe_polls_exactly_once_and_forwards() {
+        let table = d695_table();
+        let token = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
+        let guarded = CancelGuarded::new(&table, &token);
+        for (name, probe) in row_probes() {
+            let before = token.polls();
+            probe(&guarded);
+            assert_eq!(token.polls() - before, 1, "{name} must poll exactly once");
+        }
+        assert_eq!(
+            guarded.min_width_for_time(ModuleId(2), table.time(ModuleId(2), 5)),
+            table.min_width_for_time(ModuleId(2), table.time(ModuleId(2), 5))
+        );
+        let modules = [ModuleId(0), ModuleId(4), ModuleId(7)];
+        assert_eq!(
+            guarded.group_fill(&modules, 9),
+            table.group_fill(&modules, 9)
+        );
+    }
+
+    #[test]
+    fn each_row_probe_unwinds_a_cancelled_token() {
+        let table = d695_table();
+        let token = CancelToken::new();
+        token.cancel();
+        let guarded = CancelGuarded::new(&table, &token);
+        for (name, probe) in row_probes() {
+            let payload = catch_unwind(AssertUnwindSafe(|| probe(&guarded)))
+                .expect_err("a cancelled token must unwind");
+            assert_eq!(
+                CancelToken::unwind_reason(payload).unwrap_or_else(|_| panic!("{name}")),
+                OptimizeError::Cancelled,
+                "{name} must unwind with Cancelled"
+            );
+        }
     }
 }

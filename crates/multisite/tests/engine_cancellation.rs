@@ -110,3 +110,35 @@ fn mid_run_deadline_interrupts_a_cold_fill() {
     let after = engine.run(&plain).expect("engine survives interruption");
     assert_eq!(after, fresh.run(&plain).expect("fresh answers"));
 }
+
+#[test]
+fn mid_run_deadline_interrupts_a_warm_table() {
+    // The depth sweep above, but on a table an identical uncancelled run
+    // already filled: no cell is computed, so the deadline has to be
+    // caught by the per-row probes (and between sweep points) alone — a
+    // warm lookup is never probed. The sweep is 8x denser than the cold
+    // one, so even a release build needs several times the budget.
+    let engine = Engine::new(&benchmarks::p93791());
+    let cell = TestCell::new(
+        AteSpec::new(512, 4_000_000, 5.0e6),
+        ProbeStation::paper_probe_station(),
+    );
+    let big = OptimizeRequest::new(OptimizerConfig::new(cell)).with_sweep(SweepAxis::DepthVectors(
+        (1_000_000..=3_500_000).step_by(2_500).collect(),
+    ));
+    engine
+        .run_with_cancel(&big, &CancelToken::new())
+        .expect("the uncancelled warm-up run succeeds");
+
+    let token = CancelToken::with_deadline(Instant::now() + Duration::from_millis(5));
+    let err = engine.run_with_cancel(&big, &token).unwrap_err();
+    assert!(matches!(err, OptimizeError::DeadlineExceeded), "got {err}");
+
+    // The interrupted warm run left the engine answering exactly as a
+    // fresh engine does.
+    let fresh = Engine::new(&benchmarks::p93791());
+    assert_eq!(
+        engine.run(&big).expect("engine survives interruption"),
+        fresh.run(&big).expect("fresh answers"),
+    );
+}

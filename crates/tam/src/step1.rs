@@ -95,6 +95,7 @@ pub fn design_with_table<T: TimeLookup + ?Sized>(
 
     let mut groups: Vec<ChannelGroup> = Vec::new();
     for &(id, w_min) in &min_widths {
+        table.checkpoint();
         if try_place_in_existing_group(table, &mut groups, id, depth) {
             continue;
         }

@@ -121,20 +121,26 @@ impl From<io::Error> for StoreError {
 #[derive(Debug)]
 pub struct StoreRow {
     hash: u64,
-    key: Vec<u8>,
+    /// A boxed slice, not a `Vec`: no capacity word, which keeps a row
+    /// (of which a store can hold ~10^5) at 72 bytes.
+    key: Box<[u8]>,
     cells: Mutex<BTreeMap<u64, u64>>,
     /// Last [`TOUCH_CLOCK`] tick that read or wrote this row — the
     /// recency [`RowStore::save_capped`] compacts by.
     touch: AtomicU64,
+    /// The owning store's resident-cell gauge, bumped on every first
+    /// insert so [`RowStore::stats`] never walks the rows.
+    resident_cells: Arc<AtomicU64>,
 }
 
 impl StoreRow {
-    fn new(hash: u64, key: Vec<u8>) -> Self {
+    fn new(hash: u64, key: Vec<u8>, resident_cells: Arc<AtomicU64>) -> Self {
         StoreRow {
             hash,
-            key,
+            key: key.into_boxed_slice(),
             cells: Mutex::new(BTreeMap::new()),
             touch: AtomicU64::new(0),
+            resident_cells,
         }
     }
 
@@ -156,7 +162,11 @@ impl StoreRow {
     /// value, so the "loser" changes nothing.
     pub fn insert(&self, width: usize, time: u64) -> bool {
         self.touch_now();
-        lock(&self.cells).insert(width as u64, time).is_none()
+        let inserted = lock(&self.cells).insert(width as u64, time).is_none();
+        if inserted {
+            self.resident_cells.fetch_add(1, Ordering::Relaxed);
+        }
+        inserted
     }
 
     /// Number of cells resident in this row.
@@ -215,6 +225,11 @@ impl RowStoreStats {
 #[derive(Debug, Default)]
 pub struct RowStore {
     rows: Mutex<HashMap<u64, Vec<Arc<StoreRow>>>>,
+    /// Resident rows and cells. The store never evicts a resident row or
+    /// cell, so both gauges only grow: rows on creation, cells on a
+    /// row's first insert of a width (shared with every row).
+    resident_rows: AtomicU64,
+    resident_cells: Arc<AtomicU64>,
     cells_computed: AtomicU64,
     cells_served: AtomicU64,
     cells_loaded: AtomicU64,
@@ -238,11 +253,12 @@ impl RowStore {
         let mut rows = lock(&self.rows);
         let bucket = rows.entry(hash).or_default();
         let key = make_key();
-        if let Some(row) = bucket.iter().find(|row| row.key == key) {
+        if let Some(row) = bucket.iter().find(|row| *row.key == *key) {
             return Arc::clone(row);
         }
-        let row = Arc::new(StoreRow::new(hash, key));
+        let row = Arc::new(StoreRow::new(hash, key, Arc::clone(&self.resident_cells)));
         bucket.push(Arc::clone(&row));
+        self.resident_rows.fetch_add(1, Ordering::Relaxed);
         row
     }
 
@@ -258,20 +274,17 @@ impl RowStore {
         self.cells_served.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Current counters.
+    /// Current counters: a few atomic loads, O(1) in the store's size
+    /// and free of the store lock, so tracing never stalls a concurrent
+    /// [`RowStore::row_for_shape`].
     pub fn stats(&self) -> RowStoreStats {
-        let rows = lock(&self.rows);
-        let mut stats = RowStoreStats {
+        RowStoreStats {
+            rows: self.resident_rows.load(Ordering::Relaxed),
+            cells: self.resident_cells.load(Ordering::Relaxed),
             cells_computed: self.cells_computed.load(Ordering::Relaxed),
             cells_served: self.cells_served.load(Ordering::Relaxed),
             cells_loaded: self.cells_loaded.load(Ordering::Relaxed),
-            ..RowStoreStats::default()
-        };
-        for row in rows.values().flatten() {
-            stats.rows += 1;
-            stats.cells += row.len() as u64;
         }
-        stats
     }
 
     /// Merges every row of the `rows.v1` file at `path` into the store
@@ -351,7 +364,7 @@ impl RowStore {
                 (
                     row.touch.load(Ordering::Relaxed),
                     row.hash,
-                    row.key.clone(),
+                    row.key.to_vec(),
                     lock(&row.cells).clone(),
                 )
             })
@@ -734,6 +747,62 @@ mod tests {
         );
         fs::remove_file(&path).unwrap();
         fs::remove_file(&again).unwrap();
+    }
+
+    /// `(rows, cells)` by walking every resident row — what
+    /// [`RowStore::stats`] computed before it kept running gauges.
+    fn walked_counts(store: &RowStore) -> (u64, u64) {
+        let rows = lock(&store.rows);
+        let resident: Vec<&Arc<StoreRow>> = rows.values().flatten().collect();
+        let cells = resident.iter().map(|row| row.len() as u64).sum();
+        (resident.len() as u64, cells)
+    }
+
+    #[test]
+    fn running_gauges_match_a_full_walk_after_concurrent_fills_and_a_load() {
+        let dir =
+            std::env::temp_dir().join(format!("soctest-rowstore-gauge-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("gauge.rows.v1");
+
+        // A file overlapping the fills below in some rows and cells.
+        let donor = RowStore::new();
+        for p in [4u64, 9, 40, 41] {
+            let row = donor.row_for_shape(&shape(p, &[4, 2]));
+            for w in [1usize, 3, 30] {
+                row.insert(w, p + w as u64);
+            }
+        }
+        donor.save(&path).unwrap();
+
+        // Four threads racing over overlapping shapes and widths: every
+        // (shape, width) pair is inserted by at least two of them.
+        let store = RowStore::new();
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let store = &store;
+                scope.spawn(move || {
+                    for p in 0..24u64 {
+                        let row = store.row_for_shape(&shape(p / 2 + t % 2, &[4, 2]));
+                        for w in (1..=12usize).filter(|w| !(*w as u64 + p + t).is_multiple_of(3)) {
+                            row.insert(w, p + w as u64);
+                        }
+                    }
+                });
+            }
+        });
+        let (rows, cells) = walked_counts(&store);
+        let stats = store.stats();
+        assert_eq!((stats.rows, stats.cells), (rows, cells));
+
+        let merged = store.load(&path).unwrap();
+        let (rows_after, cells_after) = walked_counts(&store);
+        assert_eq!(cells_after, cells + merged);
+        assert!(rows_after > rows, "the file carries rows the fills did not");
+        let stats = store.stats();
+        assert_eq!((stats.rows, stats.cells), (rows_after, cells_after));
+        assert_eq!(stats.cells_loaded, merged);
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -71,6 +71,13 @@ pub trait TimeLookup {
     /// Panics if `module` or `width` is out of range.
     fn time(&self, module: ModuleId, width: usize) -> u64;
 
+    /// Marks a row boundary. Algorithms call this once per unit of
+    /// row-sized work (one module placed by Step 1, one site count
+    /// evaluated by Step 2), so a wrapping table can run per-row
+    /// bookkeeping there instead of on every [`TimeLookup::time`] call.
+    /// The default does nothing.
+    fn checkpoint(&self) {}
+
     /// The smallest width at which `module` meets `max_cycles`, or `None`
     /// if even the table's maximum width is insufficient.
     ///
