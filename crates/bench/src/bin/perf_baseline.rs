@@ -63,6 +63,13 @@
 //! * a `--cache-dir` `solutions.v1` load of 256 entries
 //!   (`cache/load_solutions`), asserted before timing to merge every
 //!   entry and answer every saved request as an identical `Hit`;
+//! * whole `Optimize` frames through an in-process server on a warm
+//!   pnx8550_like session (`service/named_miss/pnx8550_like`: 32
+//!   distinct plain requests per iteration, every one a cache miss;
+//!   `service/named_hit/pnx8550_like`: 32 identical ones, every one a
+//!   hit), recorded per frame, with every reply asserted equal to the
+//!   `Result` line of a fresh engine's answer before timing;
+//!   informational, not gated;
 //! * the socket transport under concurrent load
 //!   (`service/concurrent_connections`): two long-lived Unix-socket
 //!   servers, each timed iteration a fresh wave of 32 distinct
@@ -84,9 +91,9 @@ use soctest_multisite::engine::{Engine, OptimizeRequest, SweepAxis};
 use soctest_multisite::optimizer::{optimize, optimize_with_table};
 use soctest_multisite::problem::OptimizerConfig;
 use soctest_multisite::service::{
-    parse_client_frame, BoundListener, CacheOutcome, CancelToken, ClientFrame, ClientStream,
-    ListenAddr, OptimizeFrame, Server, ServerConfig, ServerFrame, SessionPointMemo, SocSpec,
-    SolutionCache, TransportConfig,
+    parse_client_frame, render_server_frame, BoundListener, CacheOutcome, CancelToken, ClientFrame,
+    ClientStream, ListenAddr, OptimizeFrame, ResultFrame, Server, ServerConfig, ServerFrame,
+    SessionPointMemo, SocSpec, SolutionCache, TransportConfig,
 };
 use soctest_multisite::sweep::{
     abort_on_fail_sweep, channel_sweep, contact_yield_sweep, depth_sweep,
@@ -148,6 +155,22 @@ struct BenchReport {
     timetable_build: TimeTableComparison,
     lazy_timetable: LazyTableStats,
     measurements: Vec<Measurement>,
+}
+
+/// An in-memory `'static` sink for `Server::serve`, read back after the
+/// session.
+#[derive(Debug, Clone, Default)]
+struct Transcript(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Transcript {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Times `body` with one warm-up run and an adaptive iteration count.
@@ -779,6 +802,103 @@ fn main() {
             .expect("load the solution cache")
     }));
     let _ = std::fs::remove_file(&solutions_path);
+
+    // --- Service frames on a warm named session -----------------------------
+    // Whole frames through an in-process server (`Server::serve` over an
+    // in-memory stream) on a warm pnx8550_like session. `named_miss` sends
+    // FRAMES distinct plain requests per iteration (a fresh depth each, so
+    // every one is a cache miss), `named_hit` FRAMES identical ones (every
+    // one a hit); each records the per-frame mean. Before timing, every
+    // reply is asserted equal to the `Result` line a fresh engine's answer
+    // renders to.
+    const FRAMES: usize = 32;
+    let named_input = |first: usize, distinct: bool| -> String {
+        (first..first + FRAMES)
+            .map(|index| {
+                let mut config = pnx_config;
+                let step = if distinct { index as u64 } else { 0 };
+                config.test_cell.ate = config
+                    .test_cell
+                    .ate
+                    .with_depth(pnx_config.test_cell.ate.vector_memory_depth + 4096 * step);
+                let line = serde_json::to_string(&ClientFrame::Optimize(OptimizeFrame {
+                    request_id: format!("r{index}"),
+                    soc: SocSpec::Named("pnx8550_like".to_string()),
+                    request: OptimizeRequest::new(config),
+                    deadline_ms: None,
+                    stats: false,
+                }))
+                .expect("client frames serialise");
+                format!("{line}\n")
+            })
+            .collect()
+    };
+    let named_server = Server::new(ServerConfig::default());
+    {
+        let fresh = Engine::new(&pnx);
+        // The first batch warms the session and computes; the second
+        // repeats the first frame's request and hits.
+        for (input, cached) in [(named_input(0, true), false), (named_input(0, false), true)] {
+            let transcript = Transcript::default();
+            named_server
+                .serve(input.as_bytes(), transcript.clone())
+                .expect("serve the named frames");
+            let text = String::from_utf8(transcript.0.lock().unwrap().clone())
+                .expect("transcripts are UTF-8");
+            let replies: Vec<&str> = text.lines().collect();
+            assert_eq!(replies.len(), FRAMES + 1, "one reply per frame, then Bye");
+            for (line, reply) in input.lines().zip(&replies) {
+                let Ok(ClientFrame::Optimize(frame)) = parse_client_frame(line) else {
+                    unreachable!("built as an Optimize frame above")
+                };
+                let expected = render_server_frame(&ServerFrame::Result(ResultFrame {
+                    // Only the first frame of the first batch builds the
+                    // session; the repeats hit it.
+                    warm: cached || frame.request_id != "r0",
+                    request_id: frame.request_id,
+                    cached,
+                    response: fresh
+                        .run(&frame.request)
+                        .expect("the PNX stand-in fits every depth"),
+                    stats: None,
+                }));
+                assert_eq!(
+                    *reply, expected,
+                    "a served frame diverged from a fresh engine"
+                );
+            }
+        }
+    }
+    let per_frame = |measurement: Measurement| {
+        let mean_seconds = measurement.mean_seconds / FRAMES as f64;
+        println!("{:<45} {mean_seconds:>12.6} s/frame", measurement.name);
+        Measurement {
+            mean_seconds,
+            ..measurement
+        }
+    };
+    // One fresh batch per call (the warm-up and every iteration), built
+    // before timing.
+    let miss_inputs: Vec<String> = (1..=1 + MAX_ITERATIONS as usize)
+        .map(|batch| named_input(batch * FRAMES, true))
+        .collect();
+    let mut next_miss = 0;
+    measurements.push(per_frame(measure(
+        "service/named_miss/pnx8550_like",
+        || {
+            let input = &miss_inputs[next_miss];
+            next_miss += 1;
+            named_server
+                .serve(input.as_bytes(), std::io::sink())
+                .expect("serve the named frames")
+        },
+    )));
+    let hit_input = named_input(0, false);
+    measurements.push(per_frame(measure("service/named_hit/pnx8550_like", || {
+        named_server
+            .serve(hit_input.as_bytes(), std::io::sink())
+            .expect("serve the named frames")
+    })));
 
     // --- Socket transport: four concurrent connections vs one -------------
     // Two long-lived servers on real Unix sockets (started once, outside

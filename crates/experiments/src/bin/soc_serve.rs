@@ -237,10 +237,12 @@ fn serve_listener(addr_text: &str, options: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // The drain handler goes in before the announcement: a supervisor
+    // may signal as soon as it reads the line.
+    install_drain_signals();
     // Announced on stderr so scripts (and the e2e suite) can discover a
     // TCP `:0` port without racing the first client.
     eprintln!("listening on {}", listener.local_addr());
-    install_drain_signals();
     let server = Server::new(options.config.clone());
     let mut transport = TransportConfig::default();
     transport.drain_grace = Duration::from_millis(options.drain_ms);

@@ -106,11 +106,15 @@ impl ListeningServer {
     /// SIGTERM, then wait: the graceful drain must end in exit 0.
     /// Returns the remaining stderr (the drain summary).
     fn drain(mut self) -> String {
-        let term = Command::new("kill")
-            .args(["-TERM", &self.child.id().to_string()])
-            .status()
-            .expect("send SIGTERM");
-        assert!(term.success(), "kill -TERM failed");
+        extern "C" {
+            fn kill(pid: i32, signal: i32) -> i32;
+        }
+        const SIGTERM: i32 = 15;
+        let pid = i32::try_from(self.child.id()).expect("pids fit in pid_t");
+        // SAFETY: `kill` only sends a signal; `pid` is our own child,
+        // not yet reaped, so it cannot name another process.
+        let sent = unsafe { kill(pid, SIGTERM) };
+        assert_eq!(sent, 0, "kill(SIGTERM) failed");
         let status = self.child.wait().expect("soc-serve exits");
         assert!(status.success(), "drained server exits 0, got {status:?}");
         let mut rest = String::new();
@@ -359,6 +363,23 @@ fn sigterm_drain_finishes_in_flight_requests() {
     assert!(matches!(&frames[0], ServerFrame::Result(r) if r.request_id == "slow"));
     assert!(matches!(&frames[1], ServerFrame::Bye(_)));
     assert!(summary.contains("1 served"), "{summary}");
+}
+
+#[test]
+fn sigterm_right_after_the_announcement_drains() {
+    // A supervisor may signal as soon as it reads `listening on`: the
+    // drain handler must already be installed by then, or the default
+    // action kills the server instead of draining it. A race, so it is
+    // tried many times.
+    for round in 0..20 {
+        let sock = sock_path(&format!("early-term-{round}"));
+        let server = ListeningServer::spawn(&["--listen", sock.to_str().unwrap()]);
+        let summary = server.drain();
+        assert!(
+            summary.starts_with("drained:"),
+            "round {round}: {summary:?}"
+        );
+    }
 }
 
 #[test]

@@ -31,6 +31,20 @@
 //! policy of the service's one [`Lru`], which the session registry
 //! shares.
 //!
+//! # Render once
+//!
+//! A response is rendered to JSON once per frame that sends it. A leader
+//! renders its fresh response once (`SolutionCache::serve`): that text
+//! charges the entry's bytes and comes back in `Served` to become the
+//! `"response"` of the `Result` line, whose head and tail are written
+//! around it in the same buffer, so the server never renders it a second
+//! time. Entries hold the response itself behind an `Arc`, not its
+//! text — a sweep's JSON is several times its in-memory size, so keeping
+//! text would cost resident memory — which makes an insert a reference
+//! count, and a hit an `Arc` clone under the lock with the rendering done
+//! after it is released. [`SolutionCache::run_coalesced`] is `serve` with
+//! the response taken out of its `Arc`.
+//!
 //! # Point-level reuse
 //!
 //! Sweep requests decompose into plain per-point optimizations, and each
@@ -67,6 +81,7 @@ use crate::error::OptimizeError;
 use crate::service::cancel::CancelToken;
 use crate::service::flight::Flight;
 use crate::service::lru::Lru;
+use crate::service::protocol::render_response;
 use crate::service::ContentKey;
 use soctest_tam::{open_envelope, push_u64, seal_envelope, write_atomic, Cursor, StoreError};
 use std::io;
@@ -104,6 +119,28 @@ impl CacheOutcome {
     /// computation by this caller.
     pub fn is_cached(self) -> bool {
         !matches!(self, CacheOutcome::Computed)
+    }
+}
+
+/// What one [`SolutionCache::serve`] call answered.
+#[derive(Debug)]
+pub(crate) struct Served {
+    /// How the response was obtained.
+    pub(crate) outcome: CacheOutcome,
+    /// The response, shared with the cache entry that holds it.
+    pub(crate) response: Arc<OptimizeResponse>,
+    /// The response's JSON when this call computed it: the text that
+    /// charged the entry.
+    rendered: Option<String>,
+}
+
+impl Served {
+    /// The response's JSON — the `"response"` value of its `Result`
+    /// line: the computing call's own rendering, or, for a hit or a
+    /// coalesced wait, rendered now, outside the cache lock.
+    pub(crate) fn into_json(self) -> String {
+        self.rendered
+            .unwrap_or_else(|| render_response(&self.response))
     }
 }
 
@@ -156,8 +193,9 @@ pub struct SolutionCacheStats {
 /// skip the doomed computation.
 #[derive(Debug, Clone)]
 enum CachedResponse {
-    /// A successful [`OptimizeResponse`].
-    Success(OptimizeResponse),
+    /// A successful [`OptimizeResponse`], shared with every caller it is
+    /// served to.
+    Success(Arc<OptimizeResponse>),
     /// A deterministic failure (see [`negative_cacheable`]).
     Negative(OptimizeError),
 }
@@ -200,7 +238,7 @@ struct CacheInner {
     /// Sweep-point entries (successes only) — same key namespace as
     /// `entries`, kept apart so whole-request accounting (the wire
     /// `result_bytes`) is undisturbed by sweep traffic.
-    points: Lru<SolutionKey, OptimizeResponse>,
+    points: Lru<SolutionKey, Arc<OptimizeResponse>>,
     stats: SolutionCacheStats,
 }
 
@@ -231,7 +269,8 @@ impl SolutionCache {
     /// Serves `request` for the session keyed `soc`: from the cache if
     /// resident, by waiting on an identical in-flight computation if
     /// one is running, or by calling `compute` as the leader otherwise.
-    /// A successful leader's response is cached before waiters wake.
+    /// This is the cache's one flight loop (see the module docs), with
+    /// the response taken out of its shared entry.
     ///
     /// # Errors
     ///
@@ -254,6 +293,29 @@ impl SolutionCache {
     where
         F: FnOnce() -> Result<OptimizeResponse, OptimizeError>,
     {
+        let served = self.serve(soc, request, token, compute)?;
+        Ok((served.outcome, Arc::unwrap_or_clone(served.response)))
+    }
+
+    /// The flight loop behind [`SolutionCache::run_coalesced`], handing
+    /// back the shared response. A successful leader renders its response
+    /// once: that text charges the entry and comes back for the `Result`
+    /// line. Its response is cached before waiters wake. A hit clones the
+    /// entry's `Arc` under the lock and nothing more.
+    ///
+    /// # Errors
+    ///
+    /// As [`SolutionCache::run_coalesced`].
+    pub(crate) fn serve<F>(
+        &self,
+        soc: u64,
+        request: &OptimizeRequest,
+        token: &CancelToken,
+        compute: F,
+    ) -> Result<Served, OptimizeError>
+    where
+        F: FnOnce() -> Result<OptimizeResponse, OptimizeError>,
+    {
         let key = SolutionKey::new(soc, canonical_request(request));
         let mut waited = false;
         let mut guard = self.flight.lock();
@@ -267,7 +329,7 @@ impl SolutionCache {
                     inner.stats.negative_hits += 1;
                     return Err(error.clone());
                 }
-                Some(CachedResponse::Success(response)) => Some(response.clone()),
+                Some(CachedResponse::Success(response)) => Some(Arc::clone(response)),
                 None => {
                     let point = inner.points.get(&key).cloned();
                     inner.stats.point_hits += u64::from(point.is_some());
@@ -285,7 +347,11 @@ impl SolutionCache {
                     inner.stats.hits += 1;
                     CacheOutcome::Hit
                 };
-                return Ok((outcome, response));
+                return Ok(Served {
+                    outcome,
+                    response,
+                    rendered: None,
+                });
             }
 
             if guard.in_flight(&key) {
@@ -308,29 +374,35 @@ impl SolutionCache {
             // also on unwind if `compute` panics, so waiters never hang.
             guard.stats.misses += 1;
             let _lead = self.flight.lead(guard, key.clone());
-            let result = compute();
-            match &result {
-                Ok(response) => self.insert(key, CachedResponse::Success(response.clone())),
-                Err(error) if negative_cacheable(error) => {
-                    self.insert(key, CachedResponse::Negative(error.clone()));
+            return match compute() {
+                Ok(response) => {
+                    let response = Arc::new(response);
+                    let rendered = render_response(&response);
+                    let charge = rendered.len();
+                    self.insert(key, CachedResponse::Success(Arc::clone(&response)), charge);
+                    Ok(Served {
+                        outcome: CacheOutcome::Computed,
+                        response,
+                        rendered: Some(rendered),
+                    })
                 }
-                Err(_) => {}
-            }
-            return result.map(|response| (CacheOutcome::Computed, response));
+                Err(error) => {
+                    if negative_cacheable(&error) {
+                        let charge = error.to_string().len();
+                        self.insert(key, CachedResponse::Negative(error.clone()), charge);
+                    }
+                    Err(error)
+                }
+            };
         }
     }
 
-    /// Admits a successful response or a deterministic failure, touching
-    /// it hottest and applying the caps.
-    fn insert(&self, key: SolutionKey, response: CachedResponse) {
-        let rendered = match &response {
-            CachedResponse::Success(response) => {
-                serde_json::to_string(response).expect("responses serialise")
-            }
-            CachedResponse::Negative(error) => error.to_string(),
-        };
+    /// Admits a successful response or a deterministic failure whose
+    /// rendering is `rendered_len` bytes, touching it hottest and
+    /// applying the caps.
+    fn insert(&self, key: SolutionKey, response: CachedResponse, rendered_len: usize) {
         let negative = matches!(response, CachedResponse::Negative(_));
-        let bytes = (key.request.canonical.len() + rendered.len()) as u64;
+        let bytes = (key.request.canonical.len() + rendered_len) as u64;
         let mut guard = self.flight.lock();
         let inner = &mut *guard;
         // A resident duplicate is impossible while our in-flight marker
@@ -356,12 +428,13 @@ impl SolutionCache {
         let mut guard = self.flight.lock();
         let inner = &mut *guard;
         let response = match inner.entries.get(&key) {
-            Some(CachedResponse::Success(response)) => response.clone(),
+            Some(CachedResponse::Success(response)) => Arc::clone(response),
             Some(CachedResponse::Negative(_)) => return None,
-            None => inner.points.get(&key)?.clone(),
+            None => Arc::clone(inner.points.get(&key)?),
         };
         inner.stats.point_hits += 1;
-        Some(response)
+        drop(guard);
+        Some(Arc::unwrap_or_clone(response))
     }
 
     /// Publishes a sweep point's fresh success to the point index — the
@@ -370,14 +443,14 @@ impl SolutionCache {
     /// of one sweep carry bit-identical responses anyway).
     fn put_point(&self, soc: u64, request: &OptimizeRequest, response: &OptimizeResponse) {
         let key = SolutionKey::new(soc, canonical_request(request));
-        let rendered = serde_json::to_string(response).expect("responses serialise");
-        let bytes = (key.request.canonical.len() + rendered.len()) as u64;
+        let bytes = (key.request.canonical.len() + render_response(response).len()) as u64;
+        let response = Arc::new(response.clone());
         let mut guard = self.flight.lock();
         let inner = &mut *guard;
         if inner.entries.contains(&key) || inner.points.contains(&key) {
             return;
         }
-        inner.points.insert(key, response.clone(), bytes);
+        inner.points.insert(key, response, bytes);
         inner.stats.point_insertions += 1;
         inner.stats.evictions += inner.points.evict_over(self.max_entries, self.max_bytes);
     }
@@ -420,7 +493,7 @@ impl SolutionCache {
             for section in [successes, points] {
                 push_u64(out, section.len() as u64);
                 for (key, response) in section {
-                    let rendered = serde_json::to_string(response).expect("responses serialise");
+                    let rendered = render_response(response);
                     push_u64(out, key.soc);
                     push_u64(out, key.request.hash);
                     push_u64(out, key.request.canonical.len() as u64);
@@ -455,6 +528,7 @@ impl SolutionCache {
                 if inner.entries.contains(&key) || inner.points.contains(&key) {
                     continue;
                 }
+                let response = Arc::new(response);
                 if into_points {
                     inner.points.insert(key, response, charge);
                 } else {

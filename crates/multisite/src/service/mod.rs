@@ -62,7 +62,7 @@ use soctest_soc_model::writer::write_soc;
 use soctest_soc_model::{benchmarks, Soc};
 use soctest_tam::fnv1a64;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// A canonical text with its precomputed FNV-1a: the identity of a
 /// session's SOC and of a cached request. Hashing writes only the FNV,
@@ -105,6 +105,10 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Every name [`resolve_named_soc`] accepts, in the order its error
+/// message lists them.
+const NAMED_SOCS: [&str; 5] = ["d695", "p22810", "p34392", "p93791", "pnx8550_like"];
+
 /// Resolves a [`SocSpec::Named`] SOC: one of the embedded ITC'02
 /// benchmarks (`d695`, `p22810`, `p34392`, `p93791`) or the synthetic
 /// `pnx8550_like` stand-in.
@@ -119,6 +123,28 @@ pub fn resolve_named_soc(name: &str) -> Result<Soc, String> {
     benchmarks::by_name(name).map_err(|err| {
         format!("unknown SOC {name:?} ({err}); known: d695, p22810, p34392, p93791, pnx8550_like")
     })
+}
+
+/// The session identity of a named SOC: its canonical `.soc` text and
+/// FNV-1a, rendered once per process on first use and shared by every
+/// later frame naming it. Only the [`NAMED_SOCS`] are memoised, so no
+/// client can grow the memo.
+///
+/// # Errors
+///
+/// [`resolve_named_soc`]'s message for an unknown name.
+pub(crate) fn named_soc_key(name: &str) -> Result<ContentKey, String> {
+    static KEYS: [OnceLock<ContentKey>; NAMED_SOCS.len()] =
+        [const { OnceLock::new() }; NAMED_SOCS.len()];
+    let Some(index) = NAMED_SOCS.iter().position(|known| *known == name) else {
+        return resolve_named_soc(name).map(|soc| ContentKey::new(write_soc(&soc)));
+    };
+    Ok(KEYS[index]
+        .get_or_init(|| {
+            let soc = resolve_named_soc(name).expect("catalogue names resolve");
+            ContentKey::new(write_soc(&soc))
+        })
+        .clone())
 }
 
 /// One row of [`named_soc_catalogue`]: a named SOC the service can
@@ -137,17 +163,18 @@ pub struct NamedSoc {
 
 /// The shared named-SOC catalogue behind `--list-socs` in `soc-serve`
 /// and `soc-batch`: every name [`resolve_named_soc`] accepts, in the
-/// order the error message documents them.
+/// order the error message documents them, with the hash the server's
+/// named-SOC identity memo holds.
 pub fn named_soc_catalogue() -> Vec<NamedSoc> {
-    ["d695", "p22810", "p34392", "p93791", "pnx8550_like"]
+    NAMED_SOCS
         .into_iter()
-        .map(|name| {
-            let soc = resolve_named_soc(name).expect("catalogue names resolve");
-            NamedSoc {
-                name,
-                modules: soc.modules().len(),
-                content_hash: fnv1a64(write_soc(&soc).as_bytes()),
-            }
+        .map(|name| NamedSoc {
+            name,
+            modules: resolve_named_soc(name)
+                .expect("catalogue names resolve")
+                .modules()
+                .len(),
+            content_hash: named_soc_key(name).expect("catalogue names resolve").hash,
         })
         .collect()
 }
@@ -164,9 +191,15 @@ mod tests {
             assert!(entry.modules > 0, "{} has modules", entry.name);
             assert_ne!(entry.content_hash, 0, "{} has a hash", entry.name);
             // The hash is the registry's identity: recomputing from a
-            // fresh resolve must agree.
-            let again = resolve_named_soc(entry.name).unwrap();
-            assert_eq!(entry.content_hash, fnv1a64(write_soc(&again).as_bytes()));
+            // fresh resolve must agree, and so must the memoised text.
+            let fresh = write_soc(&resolve_named_soc(entry.name).unwrap());
+            assert_eq!(entry.content_hash, fnv1a64(fresh.as_bytes()));
+            let memo = named_soc_key(entry.name).unwrap();
+            assert_eq!(memo.hash, entry.content_hash);
+            assert_eq!(&*memo.canonical, fresh);
+            // One render per process: a repeat shares the memoised text.
+            let again = named_soc_key(entry.name).unwrap();
+            assert!(Arc::ptr_eq(&memo.canonical, &again.canonical));
         }
         // Distinct designs, distinct identities.
         let mut hashes: Vec<u64> = catalogue.iter().map(|e| e.content_hash).collect();
@@ -187,5 +220,6 @@ mod tests {
         let err = resolve_named_soc("nope").unwrap_err();
         assert!(err.contains("nope"));
         assert!(err.contains("pnx8550_like"));
+        assert_eq!(named_soc_key("nope").unwrap_err(), err);
     }
 }

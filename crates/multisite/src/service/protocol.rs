@@ -658,14 +658,58 @@ pub fn parse_client_frame(line: &str) -> Result<ClientFrame, String> {
 }
 
 /// Renders one server frame as its single NDJSON line (no trailing
-/// newline — the writer adds it).
+/// newline — the writer adds it). A `Result` frame goes through the
+/// splice the server writes every result with: the response's own JSON
+/// between a rendered head and tail.
 ///
 /// # Panics
 ///
 /// Panics if the frame contains a non-finite float (the optimizer never
 /// produces one).
 pub fn render_server_frame(frame: &ServerFrame) -> String {
-    serde_json::to_string(frame).expect("server frames serialise")
+    match frame {
+        ServerFrame::Result(result) => render_result_line(
+            &result.request_id,
+            result.warm,
+            result.cached,
+            render_response(&result.response),
+            result.stats.as_ref(),
+        ),
+        other => serde_json::to_string(other).expect("server frames serialise"),
+    }
+}
+
+/// A response's compact JSON: the `"response"` value of its `Result`
+/// line, and the text the solution cache charges an entry for.
+pub(crate) fn render_response(response: &OptimizeResponse) -> String {
+    serde_json::to_string(response).expect("responses serialise")
+}
+
+/// Renders a `Result` frame line around its response's already-rendered
+/// JSON, reusing that text's buffer: a head (`request_id`, `warm`,
+/// `cached`) goes in front of it and a tail (`stats`, closing braces)
+/// after it, so a large response is never held twice. The bytes equal
+/// the serde rendering of the same [`ResultFrame`], field order included.
+pub(crate) fn render_result_line(
+    request_id: &str,
+    warm: bool,
+    cached: bool,
+    mut response_json: String,
+    stats: Option<&RequestStats>,
+) -> String {
+    let request_id = serde_json::to_string(&request_id).expect("strings serialise");
+    response_json.insert_str(
+        0,
+        &format!(
+            "{{\"Result\":{{\"request_id\":{request_id},\"warm\":{warm},\"cached\":{cached},\"response\":"
+        ),
+    );
+    if let Some(stats) = stats {
+        response_json.push_str(",\"stats\":");
+        response_json.push_str(&serde_json::to_string(stats).expect("stats serialise"));
+    }
+    response_json.push_str("}}");
+    response_json
 }
 
 #[cfg(test)]

@@ -13,6 +13,14 @@
 //! is allowed to exist alone, it just prevents any second resident
 //! session.
 //!
+//! Lookup is identity-first: the registry's keyed lookup takes that key
+//! and a closure that yields the `Soc`, called only on a miss, by the
+//! build's leader. The server keys a named SOC by its memoised identity
+//! (rendered once per process), so a warm named frame neither regenerates
+//! nor re-renders its SOC; an inline frame renders its parsed SOC once.
+//! [`SessionRegistry::get_or_build`] is that lookup keyed by rendering
+//! the given `Soc`.
+//!
 //! Cold builds are *coalesced*, not serialised: the registry lock is
 //! released for the whole cold build
 //! ([`EngineBuilder::try_build`](crate::engine::EngineBuilder::try_build)),
@@ -146,7 +154,8 @@ impl SessionRegistry {
     }
 
     /// Returns the warm session for `soc`'s content, building (and
-    /// admitting) one if absent. Eviction runs after an admission.
+    /// admitting) one if absent: the registry's keyed lookup, keyed by
+    /// the canonical `.soc` rendering.
     ///
     /// # Errors
     ///
@@ -154,7 +163,24 @@ impl SessionRegistry {
     /// SOC fails validation (via [`crate::engine::EngineBuilder::try_build`]) —
     /// nothing is admitted in that case.
     pub fn get_or_build(&self, soc: &Soc) -> Result<SessionHandle, OptimizeError> {
-        let key = ContentKey::new(write_soc(soc));
+        self.lookup(ContentKey::new(write_soc(soc)), || Arc::new(soc.clone()))
+    }
+
+    /// Returns the warm session keyed `key` (a SOC's canonical `.soc`
+    /// text), building and admitting one from `soc()` if absent. The SOC
+    /// is asked for only on that miss, by the one caller that leads the
+    /// build. Eviction runs after an admission.
+    ///
+    /// # Errors
+    ///
+    /// [`OptimizeError::InvalidSoc`] when a fresh build is needed and the
+    /// SOC fails validation (via [`crate::engine::EngineBuilder::try_build`]) —
+    /// nothing is admitted in that case.
+    pub(crate) fn lookup(
+        &self,
+        key: ContentKey,
+        soc: impl FnOnce() -> Arc<Soc>,
+    ) -> Result<SessionHandle, OptimizeError> {
         let mut waited = false;
         let mut inner = self.flight.lock();
         loop {
@@ -186,7 +212,7 @@ impl SessionRegistry {
             // The lead guard clears the marker and wakes waiters on the
             // error return below and on unwind alike.
             let _lead = self.flight.lead(inner, key.clone());
-            let engine = Arc::new(self.build_engine(soc, key.hash)?);
+            let engine = Arc::new(self.build_engine(soc(), key.hash)?);
             let bytes = engine.table_memory_bytes();
             let mut inner = self.flight.lock();
             inner.stats.created += 1;
@@ -207,9 +233,9 @@ impl SessionRegistry {
     /// The lock-free part of a cold build: fire the [`Stage::Build`]
     /// fault (keyed by SOC name), then run [`Engine::try_build`] wired
     /// to the shared row store and solution cache.
-    fn build_engine(&self, soc: &Soc, hash: u64) -> Result<Engine, OptimizeError> {
+    fn build_engine(&self, soc: Arc<Soc>, hash: u64) -> Result<Engine, OptimizeError> {
         self.faults.fire(Stage::Build, soc.name());
-        let mut builder = Engine::builder(soc);
+        let mut builder = Engine::builder_arc(soc);
         if let Some(store) = &self.row_store {
             builder = builder.row_store(Arc::clone(store));
         }
@@ -284,6 +310,23 @@ mod tests {
         assert_eq!(registry.len(), 1);
         let stats = registry.stats();
         assert_eq!((stats.hits, stats.misses, stats.created), (1, 1, 1));
+    }
+
+    #[test]
+    fn warm_keyed_lookup_never_asks_for_the_soc() {
+        let registry = SessionRegistry::new(4, u64::MAX);
+        let key = ContentKey::new(write_soc(&d695()));
+        let cold = registry.lookup(key.clone(), || Arc::new(d695())).unwrap();
+        assert!(!cold.warm);
+        let warm = registry
+            .lookup(key, || panic!("a warm lookup must not build the SOC"))
+            .unwrap();
+        assert!(warm.warm);
+        assert!(Arc::ptr_eq(&cold.engine, &warm.engine));
+        // The by-`Soc` wrapper lands on the same session.
+        assert!(registry.get_or_build(&d695()).unwrap().warm);
+        let stats = registry.stats();
+        assert_eq!((stats.hits, stats.misses, stats.created), (2, 1, 1));
     }
 
     #[test]

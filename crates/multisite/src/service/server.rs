@@ -40,15 +40,15 @@ use crate::service::cache::{CacheOutcome, SolutionCache};
 use crate::service::cancel::CancelToken;
 use crate::service::faults::{FaultPlan, Stage};
 use crate::service::protocol::{
-    parse_client_frame, render_server_frame, CacheStats, ClientFrame, ConnectionStats, ErrorFrame,
-    ErrorKind, OptimizeFrame, Provenance, RequestStats, ResultFrame, ServerFrame, ServerStats,
-    SocSpec, TraceSummary,
+    parse_client_frame, render_result_line, render_server_frame, CacheStats, ClientFrame,
+    ConnectionStats, ErrorFrame, ErrorKind, OptimizeFrame, Provenance, RequestStats, ServerFrame,
+    ServerStats, SocSpec, TraceSummary,
 };
-use crate::service::registry::SessionRegistry;
-use crate::service::{lock, resolve_named_soc};
+use crate::service::registry::{SessionHandle, SessionRegistry};
+use crate::service::{lock, named_soc_key, resolve_named_soc, ContentKey};
 use soctest_soc_model::parser::parse_soc;
 use soctest_soc_model::validate::{Severity, ValidationIssue};
-use soctest_soc_model::Soc;
+use soctest_soc_model::writer::write_soc;
 use soctest_tam::RowStore;
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
@@ -164,7 +164,16 @@ enum Slot {
     Running,
     /// Decided — either served, or settled at admission time (protocol
     /// errors, shed load). Leaves as soon as every earlier slot has.
-    Done(ServerFrame),
+    Done(Decided),
+}
+
+/// A decided request frame on its way to the wire.
+#[derive(Debug)]
+enum Decided {
+    /// A `Result` line, rendered by the executor that served it.
+    Result(String),
+    /// An `Error` frame, rendered when it is written.
+    Error(ErrorFrame),
 }
 
 /// Stream-scoped server state under the connection's state lock.
@@ -187,8 +196,8 @@ struct ConnState {
 }
 
 impl ConnState {
-    fn push_done(&mut self, frame: ServerFrame) {
-        self.slots.push_back(Slot::Done(frame));
+    fn push_error(&mut self, error: ErrorFrame) {
+        self.slots.push_back(Slot::Done(Decided::Error(error)));
     }
 }
 
@@ -232,22 +241,34 @@ impl ConnWriter {
         }
     }
 
-    fn write_frame(&mut self, frame: &ServerFrame) {
-        match frame {
-            ServerFrame::Result(_) => self.served += 1,
-            ServerFrame::Error(error) => {
+    /// Counts a decided frame and writes its line.
+    fn write_decided(&mut self, frame: Decided) {
+        let line = match frame {
+            Decided::Result(line) => {
+                self.served += 1;
+                line
+            }
+            Decided::Error(error) => {
                 self.errors += 1;
                 if error.kind == ErrorKind::Internal {
                     self.internal_errors += 1;
                 }
+                render_server_frame(&ServerFrame::Error(error))
             }
-            ServerFrame::Bye(_) => {}
-        }
+        };
+        self.write_line(line);
+    }
+
+    /// Writes one frame line and its newline with a single `write_all`:
+    /// socket sinks are unbuffered, so a separate newline would cost a
+    /// second system call (and a second packet) per frame.
+    fn write_line(&mut self, line: String) {
         if self.error.is_some() {
             return;
         }
-        let attempt =
-            writeln!(self.sink, "{}", render_server_frame(frame)).and_then(|()| self.sink.flush());
+        let mut bytes = line.into_bytes();
+        bytes.push(b'\n');
+        let attempt = self.sink.write_all(&bytes).and_then(|()| self.sink.flush());
         if let Err(error) = attempt {
             self.error = Some(error);
         }
@@ -332,7 +353,7 @@ pub struct Server {
 /// to write, the engine trace when the run was traced, and whether the
 /// client asked for wire statistics.
 struct Executed {
-    frame: ServerFrame,
+    frame: Decided,
     trace: Option<RequestTrace>,
     wants_stats: bool,
 }
@@ -485,9 +506,7 @@ impl Server {
                 Ok(ClientFrame::Optimize(frame)) => self.admit(conn, frame),
                 Ok(ClientFrame::Cancel { request_id }) => self.cancel(conn, &request_id),
                 Ok(ClientFrame::Shutdown) => break,
-                Err(message) => {
-                    self.note(conn, ServerFrame::Error(ErrorFrame::protocol(message)));
-                }
+                Err(message) => self.note(conn, ErrorFrame::protocol(message)),
             }
         }
         self.close_connection(conn);
@@ -509,19 +528,19 @@ impl Server {
     pub(crate) fn fail_connection(&self, conn: &Arc<Connection>, message: String) {
         self.note(
             conn,
-            ServerFrame::Error(ErrorFrame {
+            ErrorFrame {
                 request_id: None,
                 kind: ErrorKind::Internal,
                 message,
-            }),
+            },
         );
         self.close_connection(conn);
     }
 
-    /// Appends an admission-time frame to the output window and flushes
+    /// Appends an admission-time error to the output window and flushes
     /// whatever the window allows out.
-    fn note(&self, conn: &Arc<Connection>, frame: ServerFrame) {
-        lock(&conn.state).push_done(frame);
+    fn note(&self, conn: &Arc<Connection>, error: ErrorFrame) {
+        lock(&conn.state).push_error(error);
         self.flush(conn);
     }
 
@@ -533,11 +552,11 @@ impl Server {
         self.config.faults.fire(Stage::Admission, &frame.request_id);
         let mut tokens = lock(&conn.tokens);
         if tokens.contains_key(&frame.request_id) {
-            let note = ServerFrame::Error(ErrorFrame {
+            let note = ErrorFrame {
                 request_id: Some(frame.request_id),
                 kind: ErrorKind::Protocol,
                 message: "duplicate in-flight request id".to_string(),
-            });
+            };
             drop(tokens);
             lock(&conn.state).requests += 1;
             self.note(conn, note);
@@ -550,14 +569,14 @@ impl Server {
         let mut state = lock(&conn.state);
         state.requests += 1;
         if queue.entries.len() >= self.config.queue_capacity {
-            state.push_done(ServerFrame::Error(ErrorFrame {
+            state.push_error(ErrorFrame {
                 request_id: Some(frame.request_id),
                 kind: ErrorKind::Overloaded,
                 message: format!(
                     "admission queue full (capacity {}); request shed",
                     self.config.queue_capacity
                 ),
-            }));
+            });
             drop(state);
             drop(queue);
             drop(tokens);
@@ -590,11 +609,11 @@ impl Server {
                 drop(tokens);
                 self.note(
                     conn,
-                    ServerFrame::Error(ErrorFrame {
+                    ErrorFrame {
                         request_id: Some(request_id.to_string()),
                         kind: ErrorKind::UnknownRequest,
                         message: "no such request in flight".to_string(),
-                    }),
+                    },
                 );
             }
         }
@@ -669,7 +688,7 @@ impl Server {
                     };
                     state.front_seq += 1;
                     drop(state);
-                    writer.write_frame(&frame);
+                    writer.write_decided(frame);
                 }
                 // An earlier admission is still in flight: its frame
                 // must leave first.
@@ -733,7 +752,7 @@ impl Server {
                 requests: state.requests,
             });
         }
-        writer.write_frame(&ServerFrame::Bye(stats));
+        writer.write_line(render_server_frame(&ServerFrame::Bye(stats)));
         writer.bye = Some(stats);
         writer.finished = true;
     }
@@ -846,7 +865,7 @@ impl Server {
         // without touching the engine.
         if let Err(error) = token.check() {
             return Executed {
-                frame: ServerFrame::Error(ErrorFrame::from_error(request_id, &error)),
+                frame: Decided::Error(ErrorFrame::from_error(request_id, &error)),
                 trace: None,
                 wants_stats,
             };
@@ -857,37 +876,33 @@ impl Server {
         let trace_slot = Cell::new(None);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             faults.fire(Stage::Optimize, &request_id);
-            let soc = resolve_soc_spec(&soc)?;
-            let handle = self.registry.get_or_build(&soc)?;
+            let handle = self.session(&soc)?;
             // The coalescing seam: an exact `(SOC, canonical request)`
             // hit answers from the cache, an identical in-flight request
             // blocks on its leader, and only a genuine miss runs the
             // engine.
-            let (cache_outcome, response) =
-                self.solutions
-                    .run_coalesced(handle.key, &request, &token, || {
-                        let served = if traced {
-                            let (served, trace) =
-                                handle.engine.run_with_cancel_traced(&request, &token);
-                            trace_slot.set(Some(trace));
-                            served
-                        } else {
-                            handle.engine.run_with_cancel(&request, &token)
-                        };
-                        // Re-charge the session's (possibly grown) table
-                        // before inspecting the result, so even failed
-                        // runs account.
-                        self.registry.reassess(handle.key, &handle.canonical);
-                        served
-                    })?;
+            let served = self.solutions.serve(handle.key, &request, &token, || {
+                let served = if traced {
+                    let (served, trace) = handle.engine.run_with_cancel_traced(&request, &token);
+                    trace_slot.set(Some(trace));
+                    served
+                } else {
+                    handle.engine.run_with_cancel(&request, &token)
+                };
+                // Re-charge the session's (possibly grown) table
+                // before inspecting the result, so even failed
+                // runs account.
+                self.registry.reassess(handle.key, &handle.canonical);
+                served
+            })?;
             faults.fire(Stage::Respond, &request_id);
-            Ok((handle.warm, cache_outcome, response))
+            Ok((handle.warm, served))
         }));
         let trace = trace_slot.take();
-        match outcome {
-            Ok(Ok((warm, cache_outcome, response))) => {
+        let frame = match outcome {
+            Ok(Ok((warm, served))) => {
                 let stats = wants_stats.then(|| {
-                    let provenance = match cache_outcome {
+                    let provenance = match served.outcome {
                         CacheOutcome::Hit => Provenance::Hit,
                         CacheOutcome::Coalesced => Provenance::Coalesced,
                         CacheOutcome::Computed => Provenance::Computed,
@@ -904,32 +919,47 @@ impl Server {
                         points_reused: trace.points_reused,
                     }
                 });
-                Executed {
-                    frame: ServerFrame::Result(ResultFrame {
-                        request_id,
-                        warm,
-                        cached: cache_outcome.is_cached(),
-                        response,
-                        stats,
-                    }),
-                    trace,
-                    wants_stats,
-                }
+                let cached = served.outcome.is_cached();
+                Decided::Result(render_result_line(
+                    &request_id,
+                    warm,
+                    cached,
+                    served.into_json(),
+                    stats.as_ref(),
+                ))
             }
-            Ok(Err(error)) => Executed {
-                frame: ServerFrame::Error(ErrorFrame::from_error(request_id, &error)),
-                trace,
-                wants_stats,
-            },
-            Err(payload) => Executed {
-                frame: ServerFrame::Error(ErrorFrame {
-                    request_id: Some(request_id),
-                    kind: ErrorKind::Internal,
-                    message: format!("request panicked: {}", panic_message(payload.as_ref())),
-                }),
-                trace,
-                wants_stats,
-            },
+            Ok(Err(error)) => Decided::Error(ErrorFrame::from_error(request_id, &error)),
+            Err(payload) => Decided::Error(ErrorFrame {
+                request_id: Some(request_id),
+                kind: ErrorKind::Internal,
+                message: format!("request panicked: {}", panic_message(payload.as_ref())),
+            }),
+        };
+        Executed {
+            frame,
+            trace,
+            wants_stats,
+        }
+    }
+
+    /// The warm session a request's SOC resolves to. A named SOC is
+    /// identified by its memoised key and regenerated only on a registry
+    /// miss; inline text costs one parse and one canonical render.
+    /// Every failure is a typed [`OptimizeError::InvalidSoc`].
+    fn session(&self, spec: &SocSpec) -> Result<SessionHandle, OptimizeError> {
+        match spec {
+            SocSpec::Named(name) => {
+                let key = named_soc_key(name).map_err(invalid_soc)?;
+                self.registry.lookup(key, || {
+                    Arc::new(resolve_named_soc(name).expect("a memoised name resolves"))
+                })
+            }
+            SocSpec::Inline(text) => {
+                let soc = parse_soc(text)
+                    .map_err(|err| invalid_soc(format!("inline SOC failed to parse: {err}")))?;
+                let key = ContentKey::new(write_soc(&soc));
+                self.registry.lookup(key, move || Arc::new(soc))
+            }
         }
     }
 }
@@ -1029,17 +1059,6 @@ fn isolate_store_io<T, E: fmt::Display>(
     None
 }
 
-/// Resolves the SOC a request targets; every failure is a typed
-/// [`OptimizeError::InvalidSoc`].
-fn resolve_soc_spec(spec: &SocSpec) -> Result<Soc, OptimizeError> {
-    match spec {
-        SocSpec::Inline(text) => {
-            parse_soc(text).map_err(|err| invalid_soc(format!("inline SOC failed to parse: {err}")))
-        }
-        SocSpec::Named(name) => resolve_named_soc(name).map_err(invalid_soc),
-    }
-}
-
 fn invalid_soc(message: String) -> OptimizeError {
     OptimizeError::InvalidSoc {
         issues: vec![ValidationIssue {
@@ -1066,6 +1085,7 @@ mod tests {
     use super::*;
     use crate::engine::{OptimizeRequest, SweepAxis};
     use crate::problem::OptimizerConfig;
+    use crate::service::protocol::ResultFrame;
     use soctest_ate::{AteSpec, ProbeStation, TestCell};
     use std::io::Cursor;
 
@@ -1148,6 +1168,47 @@ mod tests {
             lines.push(line.clone());
         }
         assert_eq!(lines, [&b"a"[..], b"", b"b\xff", b"last"]);
+    }
+
+    /// A sink that keeps the bytes of every `write` call apart.
+    #[derive(Debug, Clone, Default)]
+    struct WriteLog(Arc<Mutex<Vec<Vec<u8>>>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            lock(&self.0).push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_leaves_in_one_write() {
+        // A computed result, a cached result with stats, a typed error, a
+        // protocol error and the Bye: one write each, newline included,
+        // and each line is exactly the serde rendering of its frame.
+        let input = format!(
+            "{}\n{}\n{}\n{{\n",
+            optimize_line("r1", SocSpec::Named("d695".into()), None),
+            optimize_line_stats("r2", SocSpec::Named("d695".into())),
+            optimize_line("r3", SocSpec::Named("no_such_soc".into()), None),
+        );
+        let log = WriteLog::default();
+        Server::new(ServerConfig::default())
+            .serve(Cursor::new(input), log.clone())
+            .expect("serve");
+        let writes = lock(&log.0).clone();
+        assert_eq!(writes.len(), 5, "one write per frame");
+        for write in &writes {
+            let text = std::str::from_utf8(write).expect("frames are UTF-8");
+            let line = text.strip_suffix('\n').expect("the newline ends the write");
+            assert!(!line.contains('\n'), "one frame per write: {line}");
+            let frame: ServerFrame = serde_json::from_str(line).expect("server frame parses");
+            assert_eq!(line, serde_json::to_string(&frame).unwrap());
+        }
     }
 
     #[test]

@@ -4,18 +4,23 @@
 //! rejected rather than silently reinterpreted. Arbitrary bytes, chars
 //! and edits of real frames never panic the frame reader, and whatever it
 //! accepts renders back to the same frame; arbitrary Unicode strings
-//! round-trip exactly.
+//! round-trip exactly. The spliced `Result` line the server writes equals
+//! the serde rendering of the same frame.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use soctest_ate::{AteSpec, ProbeStation, TestCell};
+use soctest_multisite::engine::{Engine, OptimizeResponse};
 use soctest_multisite::service::{
     parse_client_frame, render_server_frame, CacheStats, ClientFrame, ConnectionStats, ErrorFrame,
-    ErrorKind, OptimizeFrame, ServerFrame, ServerStats, SocSpec, TraceSummary,
+    ErrorKind, OptimizeFrame, Provenance, RequestStats, ResultFrame, ServerFrame, ServerStats,
+    SocSpec, TraceSummary,
 };
 use soctest_multisite::{OptimizeRequest, OptimizerConfig, SweepAxis};
+use soctest_soc_model::benchmarks::d695;
 use soctest_soc_model::synthetic::pnx8550_like;
 use soctest_soc_model::writer::write_soc;
+use std::sync::OnceLock;
 
 /// Maps a generated `(class, offset)` pair to a `char`, spreading draws
 /// over the character classes a JSON reader and writer treat differently:
@@ -358,4 +363,65 @@ fn a_multi_megabyte_inline_frame_parses() {
     });
     let line = serde_json::to_string(&frame).expect("client frames serialise");
     assert_eq!(parse_client_frame(&line), Ok(frame));
+}
+
+/// A real plain answer and a real sweep answer for d695, computed once.
+fn real_responses() -> &'static [OptimizeResponse; 2] {
+    static RESPONSES: OnceLock<[OptimizeResponse; 2]> = OnceLock::new();
+    RESPONSES.get_or_init(|| {
+        let cell = TestCell::new(
+            AteSpec::new(256, 96 * 1024, 5.0e6),
+            ProbeStation::paper_probe_station(),
+        );
+        let plain = OptimizeRequest::new(OptimizerConfig::new(cell));
+        let sweep = plain
+            .clone()
+            .with_sweep(SweepAxis::Channels(vec![128, 192, 256]));
+        let engine = Engine::new(&d695());
+        [
+            engine.run(&plain).expect("d695 plain request is feasible"),
+            engine.run(&sweep).expect("d695 sweep is feasible"),
+        ]
+    })
+}
+
+proptest! {
+    #[test]
+    fn result_lines_splice_to_the_serde_rendering(
+        draws in arb_text(24),
+        provenance in 0usize..3,
+        counters in vec(0u64..10_000, 4),
+    ) {
+        // Ids with quotes, backslashes, control characters and non-ASCII
+        // text, against every warm/cached pair, stats off, on, and on
+        // with points reused, for a plain and a sweep response.
+        let request_id = text_of(&draws);
+        for (response, warm, cached, stats) in real_responses()
+            .iter()
+            .flat_map(|response| [false, true].map(|warm| (response, warm)))
+            .flat_map(|(response, warm)| [false, true].map(|cached| (response, warm, cached)))
+            .flat_map(|(response, warm, cached)| {
+                [0, 1, 2].map(|stats| (response, warm, cached, stats))
+            })
+        {
+            let frame = ServerFrame::Result(ResultFrame {
+                request_id: request_id.clone(),
+                warm,
+                cached,
+                response: response.clone(),
+                stats: (stats > 0).then(|| RequestStats {
+                    provenance: [Provenance::Hit, Provenance::Coalesced, Provenance::Computed]
+                        [provenance],
+                    cells_built: counters[0],
+                    cells_inherited: counters[1],
+                    store_cells_computed: counters[2],
+                    points_reused: if stats == 2 { counters[3] } else { 0 },
+                }),
+            });
+            prop_assert_eq!(
+                render_server_frame(&frame),
+                serde_json::to_string(&frame).expect("server frames serialise")
+            );
+        }
+    }
 }
